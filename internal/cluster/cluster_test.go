@@ -373,9 +373,10 @@ func TestDiscovery(t *testing.T) {
 			t.Fatalf("ingest discovered collection %s: %v", key, err)
 		}
 	}
-	// Typed service errors cross the wire as *RemoteError carrying the
-	// node's status mapping (only DegradedError is reconstructed).
-	var re *RemoteError
+	// Typed service errors cross the wire as *service.RemoteError
+	// carrying the node's status mapping (only DegradedError is
+	// reconstructed).
+	var re *service.RemoteError
 	if _, err := co.CreateCollection(ctx, "alpha", spec); !errors.As(err, &re) || re.Status != 409 {
 		t.Fatalf("re-create discovered collection: got %v, want RemoteError 409", err)
 	}
@@ -403,7 +404,7 @@ func TestRemoteErrorsKeepNodeUp(t *testing.T) {
 	if _, err := co.CreateCollection(ctx, "x", spec); err != nil {
 		t.Fatal(err)
 	}
-	var re *RemoteError
+	var re *service.RemoteError
 	if _, err := co.CreateCollection(ctx, "x", spec); !errors.As(err, &re) || re.Status != 409 {
 		t.Fatalf("duplicate create: got %v, want RemoteError 409", err)
 	}
@@ -455,7 +456,7 @@ func TestClusterResilienceOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = co.UpdateResilience(ctx, "plain", update)
-	var re *RemoteError
+	var re *service.RemoteError
 	if !errors.As(err, &re) || re.Status != 400 {
 		t.Fatalf("retune plain collection: got %v, want RemoteError 400", err)
 	}
@@ -482,7 +483,7 @@ func TestWireCodec(t *testing.T) {
 		t.Fatalf("ok response: %q %v", body, err)
 	}
 	_, err = decodeResponse(encodeErr(nil, 503, 1500*time.Millisecond, "degraded"))
-	var re *RemoteError
+	var re *service.RemoteError
 	if !errors.As(err, &re) || re.Status != 503 || re.RetryAfter != 1500*time.Millisecond || re.Msg != "degraded" {
 		t.Fatalf("err response: %v", err)
 	}
@@ -772,7 +773,7 @@ func TestConcurrentCreateSingleOwner(t *testing.T) {
 		if err := <-errs; err == nil {
 			okCount++
 		} else {
-			var re *RemoteError
+			var re *service.RemoteError
 			if !errors.As(err, &re) || re.Status != 409 {
 				t.Fatalf("raced create: got %v, want nil or RemoteError 409", err)
 			}

@@ -195,7 +195,7 @@ func (co *Coordinator) owner(key string) (int, error) {
 // the caller sees a DegradedError (503 + Retry-After upstream), exactly
 // like a collection whose oracle breaker tripped. Remote service
 // failures pass through typed (*service.DegradedError for degraded
-// collections, *RemoteError otherwise).
+// collections, *service.RemoteError otherwise).
 func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, body []byte) ([]byte, error) {
 	nc := co.nodes[idx]
 	if ra, down := nc.down(); down {
@@ -218,7 +218,7 @@ func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, body
 	}
 	out, err := decodeResponse(resp)
 	if err != nil {
-		var re *RemoteError
+		var re *service.RemoteError
 		if !errors.As(err, &re) {
 			// Not a remote failure but an undecodable response: the
 			// stream produced garbage, treat the node as down.
@@ -278,7 +278,7 @@ func (co *Coordinator) CreateCollection(ctx context.Context, key string, spec se
 			// that node (a concurrent create won), so the route is
 			// correct. Anything else means the create did not take —
 			// roll the reservation back so the key can be placed again.
-			var re *RemoteError
+			var re *service.RemoteError
 			if !errors.As(err, &re) || re.Status != 409 {
 				co.mu.Lock()
 				if r, ok := co.routes[key]; ok && r.node == idx {

@@ -1,125 +1,40 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
-	"ecsort/internal/algo"
 	"ecsort/internal/service"
 )
 
-// Handler returns the coordinator's HTTP API — the same route table a
-// single-binary service exposes (clients cannot tell a coordinator
-// from a node), plus per-node fleet state on the health and metrics
-// endpoints. Collection operations are forwarded to the owning node;
-// /v1/algorithms is answered locally (the registry is compiled in,
-// identical on every binary).
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", co.handleHealthz)
-	mux.HandleFunc("GET /healthz/live", co.handleHealthz)
-	mux.HandleFunc("GET /healthz/ready", co.handleReady)
-	mux.HandleFunc("GET /metrics", co.handleMetrics)
-	mux.HandleFunc("GET /v1/collections", co.handleList)
-	mux.HandleFunc("GET /v1/algorithms", co.handleAlgorithms)
-	mux.HandleFunc("PUT /v1/collections/{key}", co.handleCreate)
-	mux.HandleFunc("DELETE /v1/collections/{key}", co.handleDrop)
-	mux.HandleFunc("POST /v1/collections/{key}/items", co.handleIngest)
-	mux.HandleFunc("DELETE /v1/collections/{key}/items/{element}", co.handleDeleteItem)
-	mux.HandleFunc("GET /v1/collections/{key}/classes", co.handleClasses)
-	mux.HandleFunc("GET /v1/collections/{key}/classes/{element}", co.handleClassOf)
-	mux.HandleFunc("POST /v1/collections/{key}/classes/{class}/invalidate", co.handleInvalidate)
-	mux.HandleFunc("GET /v1/collections/{key}/stats", co.handleStats)
-	mux.HandleFunc("PATCH /v1/collections/{key}/resilience", co.handleUpdateResilience)
-	return mux
-}
+// Handler returns the coordinator's HTTP API: service.NewHandler's route
+// table, so clients cannot tell a coordinator from a node. Collection
+// operations are forwarded to the owning node; the health and metrics
+// endpoints report per-node fleet state.
+func (co *Coordinator) Handler() http.Handler { return service.NewHandler(co) }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// writeError maps coordinator-side errors to statuses: degraded
-// rejections (tripped breaker OR down node) become 503 + Retry-After,
-// remote failures relay the owning node's status, local routing errors
-// use the service table.
-func writeError(w http.ResponseWriter, err error) {
-	var de *service.DegradedError
-	if errors.As(err, &de) {
-		secs := int64((de.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	var re *RemoteError
-	if errors.As(err, &re) {
-		writeJSON(w, re.Status, errorResponse{Error: re.Msg})
-		return
-	}
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, service.ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, service.ErrExists):
-		status = http.StatusConflict
-	case errors.Is(err, service.ErrBadItem), errors.Is(err, service.ErrBadSpec):
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("cluster: bad request body: %w", err)
-	}
-	return nil
-}
-
-func boolParam(r *http.Request, name string) bool {
-	switch strings.ToLower(r.URL.Query().Get(name)) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
-}
-
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Live is the coordinator's liveness body.
+func (co *Coordinator) Live() any {
 	co.mu.RLock()
 	collections := len(co.routes)
 	co.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"status":         "ok",
 		"role":           "coordinator",
 		"uptime_seconds": co.Uptime().Seconds(),
 		"nodes":          len(co.nodes),
 		"collections":    collections,
-	})
+	}
 }
 
-// handleReady aggregates readiness across the fleet: 200 when every
-// node is up and no collection is degraded, 503 with per-node state
-// otherwise. One dead node degrades ONLY its own section — the report
+// Ready aggregates readiness across the fleet: ready when every node is
+// up and no collection is degraded; the body carries per-node state
+// either way. One dead node degrades ONLY its own section — the report
 // names it, and the other nodes' collections keep serving.
-func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	states := co.Health(r.Context())
+func (co *Coordinator) Ready(ctx context.Context) (bool, any) {
+	states := co.Health(ctx)
 	ready := true
 	for _, st := range states {
 		if !st.Up || len(st.Degraded) > 0 {
@@ -127,153 +42,19 @@ func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body := map[string]any{"status": "ready", "nodes": states}
-	status := http.StatusOK
 	if !ready {
 		body["status"] = "degraded"
-		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	return ready, body
 }
 
-func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"collections": co.List(r.Context())})
-}
-
-func (co *Coordinator) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"default":    service.AlgorithmIncremental,
-		"algorithms": algo.Infos(),
-	})
-}
-
-func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec service.OracleSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	info, err := co.CreateCollection(r.Context(), r.PathValue("key"), spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"key":       info.Key,
-		"kind":      info.Kind,
-		"universe":  info.Universe,
-		"algorithm": info.Algorithm,
-	})
-}
-
-func (co *Coordinator) handleDrop(w http.ResponseWriter, r *http.Request) {
-	if err := co.DropCollection(r.Context(), r.PathValue("key")); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Items []int `json:"items"`
-	}
-	if err := decodeBody(r, &body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	res, err := co.Ingest(r.Context(), r.PathValue("key"), body.Items, boolParam(r, "flush"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
-}
-
-func (co *Coordinator) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("cluster: bad element %q: not an integer", r.PathValue("element"))})
-		return
-	}
-	res, err := co.DeleteItem(r.Context(), r.PathValue("key"), element)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (co *Coordinator) handleClasses(w http.ResponseWriter, r *http.Request) {
-	snap, err := co.Classes(r.Context(), r.PathValue("key"), boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (co *Coordinator) handleClassOf(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("cluster: bad element %q: not an integer", r.PathValue("element"))})
-		return
-	}
-	view, err := co.ClassOf(r.Context(), r.PathValue("key"), element, boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (co *Coordinator) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	class, err := strconv.Atoi(r.PathValue("class"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("cluster: bad class %q: not an integer", r.PathValue("class"))})
-		return
-	}
-	res, err := co.InvalidateClass(r.Context(), r.PathValue("key"), class, boolParam(r, "flush"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
-}
-
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	info, err := co.Stats(r.Context(), r.PathValue("key"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (co *Coordinator) handleUpdateResilience(w http.ResponseWriter, r *http.Request) {
-	var rs service.ResilienceSpec
-	if err := decodeBody(r, &rs); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	key := r.PathValue("key")
-	if err := co.UpdateResilience(r.Context(), key, rs); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "resilience": rs})
-}
-
-// handleMetrics renders cluster-level metrics: fleet shape, per-node
+// WriteMetrics renders cluster-level metrics: fleet shape, per-node
 // routing and health gauges, and placement counters. Node-internal
 // metrics (WAL, folds, oracle counters) stay on each node's own
 // /metrics — scraping both gives the full picture without the
 // coordinator re-exporting anything.
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	states := co.Health(r.Context())
+func (co *Coordinator) WriteMetrics(ctx context.Context, w io.Writer) {
+	states := co.Health(ctx)
 	fmt.Fprintf(w, "# HELP ecsort_cluster_nodes Backend nodes in the cluster.\n")
 	fmt.Fprintf(w, "# TYPE ecsort_cluster_nodes gauge\n")
 	fmt.Fprintf(w, "ecsort_cluster_nodes %d\n", len(states))

@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"sync/atomic"
 	"time"
 
-	"ecsort/internal/core"
 	"ecsort/internal/service"
 )
 
@@ -61,10 +58,17 @@ func (n *Node) Handle(req []byte) []byte {
 	}
 	out, err := n.dispatch(o, key, body)
 	if err != nil {
-		status, ra := statusOf(err)
-		return encodeErr(nil, status, ra, err.Error())
+		return encodeFailure(err)
 	}
 	return encodeOK(nil, out)
+}
+
+// encodeFailure encodes a failed operation with service.StatusOf — the
+// status and Retry-After a single node's HTTP layer would answer — so a
+// coordinator relays exactly that.
+func encodeFailure(err error) []byte {
+	status, ra := service.StatusOf(err)
+	return encodeErr(nil, status, ra, err.Error())
 }
 
 // dispatch runs one operation against the local service and marshals
@@ -166,28 +170,4 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 		return nil, n.svc.UpdateResilience(key, rs)
 	}
 	return nil, fmt.Errorf("cluster: unhandled op %d", o)
-}
-
-// statusOf maps a service error to its HTTP status and degraded
-// retry-after — the same table service.Handler's writeError uses, so a
-// clustered deployment surfaces identical statuses to a single-binary
-// one.
-func statusOf(err error) (int, time.Duration) {
-	var de *service.DegradedError
-	if errors.As(err, &de) {
-		return http.StatusServiceUnavailable, de.RetryAfter
-	}
-	switch {
-	case errors.Is(err, service.ErrNotFound):
-		return http.StatusNotFound, 0
-	case errors.Is(err, service.ErrExists):
-		return http.StatusConflict, 0
-	case errors.Is(err, service.ErrBadItem), errors.Is(err, service.ErrBadSpec):
-		return http.StatusBadRequest, 0
-	case errors.Is(err, core.ErrConstRoundFailed), errors.Is(err, core.ErrAdaptiveExhausted):
-		return http.StatusConflict, 0
-	case errors.Is(err, service.ErrClosed), errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, 0
-	}
-	return http.StatusInternalServerError, 0
 }

@@ -13,8 +13,8 @@ import (
 // node is unreachable, the connection died, a frame failed its CRC —
 // and the coordinator treats the node as down. A node that answered
 // with a service failure is NOT a transport error: that failure rides
-// inside the response payload (decoded to *RemoteError upstream), and
-// the node is alive.
+// inside the response payload (decoded to *service.RemoteError
+// upstream), and the node is alive.
 //
 // The contract is message-passing-only: the bytes are the entire
 // exchange. Callers must not retain req after Call returns, and must

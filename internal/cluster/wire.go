@@ -20,8 +20,9 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"net/http"
 	"time"
+
+	"ecsort/internal/service"
 )
 
 // Wire stream identity: every TCP connection opens with a 16-byte
@@ -94,19 +95,6 @@ type DegradedBackend struct {
 	RetryAfterSeconds float64 `json:"retry_after_seconds"`
 }
 
-// RemoteError is a service error that crossed the wire: the owning node
-// answered, but with a failure. Status preserves the node's HTTP
-// mapping so the coordinator's HTTP layer relays it verbatim, and Go
-// callers can still switch on it. RetryAfter is non-zero only for
-// degraded-collection rejections (503 + Retry-After).
-type RemoteError struct {
-	Status     int
-	Msg        string
-	RetryAfter time.Duration
-}
-
-func (e *RemoteError) Error() string { return e.Msg }
-
 // encodeRequest appends one request — [op][uvarint keylen][key][body] —
 // to dst and returns the extended slice. The body is opaque here
 // (JSON per the op table above).
@@ -149,8 +137,8 @@ func encodeOK(dst, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// encodeErr appends an error response: the node's HTTP status mapping,
-// the degraded retry-after (0 otherwise), and the error text.
+// encodeErr appends an error response: the node's service.StatusOf
+// mapping, the degraded retry-after (0 otherwise), and the error text.
 func encodeErr(dst []byte, status int, retryAfter time.Duration, msg string) []byte {
 	dst = append(dst, respErr)
 	dst = binary.AppendUvarint(dst, uint64(status))
@@ -159,8 +147,8 @@ func encodeErr(dst []byte, status int, retryAfter time.Duration, msg string) []b
 }
 
 // decodeResponse returns the success body, or the remote failure as a
-// *RemoteError. A malformed response is a protocol error (the caller
-// should drop the connection), returned as a plain error.
+// *service.RemoteError. A malformed response is a protocol error (the
+// caller should drop the connection), returned as a plain error.
 func decodeResponse(p []byte) ([]byte, error) {
 	if len(p) < 1 {
 		return nil, fmt.Errorf("cluster: empty response")
@@ -183,16 +171,8 @@ func decodeResponse(p []byte) ([]byte, error) {
 		if status < 100 || status > 599 {
 			return nil, fmt.Errorf("cluster: impossible error status %d", status)
 		}
-		return nil, &RemoteError{Status: int(status), Msg: string(rest), RetryAfter: time.Duration(ra)}
+		return nil, &service.RemoteError{Status: int(status), Msg: string(rest), RetryAfter: time.Duration(ra)}
 	default:
 		return nil, fmt.Errorf("cluster: unknown response tag %d", p[0])
 	}
-}
-
-// statusText falls back to the standard reason phrase for error bodies.
-func statusText(status int) string {
-	if t := http.StatusText(status); t != "" {
-		return t
-	}
-	return "error"
 }

@@ -17,7 +17,39 @@ import (
 	"ecsort/internal/oracle"
 )
 
-// Handler returns the service's HTTP API:
+// API is the operation set the HTTP handler serves. A *Service answers
+// it locally (Handler adapts it); a cluster coordinator answers it by
+// routing each call to the owning node. One handler serves both, so a
+// client cannot tell a coordinator from a single node. Every method
+// gets the request's context.
+type API interface {
+	CreateCollection(ctx context.Context, key string, spec OracleSpec) (CollectionInfo, error)
+	DropCollection(ctx context.Context, key string) error
+	Ingest(ctx context.Context, key string, items []int, flush bool) (IngestResult, error)
+	DeleteItem(ctx context.Context, key string, element int) (ChurnResult, error)
+	InvalidateClass(ctx context.Context, key string, class int, flush bool) (ChurnResult, error)
+	Classes(ctx context.Context, key string, fresh bool) (*Snapshot, error)
+	ClassOf(ctx context.Context, key string, element int, fresh bool) (ClassView, error)
+	Stats(ctx context.Context, key string) (CollectionInfo, error)
+	List(ctx context.Context) []CollectionInfo
+	UpdateResilience(ctx context.Context, key string, rs ResilienceSpec) error
+
+	// Role extras: what a node and a coordinator report about
+	// themselves differs.
+
+	// Live is the liveness body (/healthz, /healthz/live).
+	Live() any
+	// Ready is the readiness verdict and body (/healthz/ready).
+	Ready(ctx context.Context) (ok bool, body any)
+	// WriteMetrics writes the Prometheus text exposition (/metrics).
+	WriteMetrics(ctx context.Context, w io.Writer)
+}
+
+// Handler returns the service's HTTP API; see NewHandler for the routes.
+func (s *Service) Handler() http.Handler { return NewHandler(local{s}) }
+
+// NewHandler returns the HTTP API over api — the one route table both a
+// single node and a cluster coordinator serve:
 //
 //	PUT    /v1/collections/{key}         create a collection (body: OracleSpec; "algorithm" picks the regimen)
 //	DELETE /v1/collections/{key}         drop a collection
@@ -32,30 +64,81 @@ import (
 //	PATCH  /v1/collections/{key}/resilience  live-update the resilience profile (body: ResilienceSpec)
 //	GET    /healthz                      liveness (also /healthz/live)
 //	GET    /healthz/ready                readiness: 503 while any collection is degraded or recovery failed
+//	                                     (on a coordinator: or any node is down)
 //	GET    /metrics                      Prometheus-style text metrics
 //
-// All request and response bodies are JSON except /metrics. Writes
-// against a degraded collection (oracle circuit breaker open) get 503
+// All request and response bodies are compact JSON except /metrics.
+// Errors map to statuses through StatusOf. Writes against a degraded
+// collection (oracle circuit breaker open, or its node down) get 503
 // with a Retry-After header; reads keep serving the last published
-// snapshot.
-func (s *Service) Handler() http.Handler {
+// snapshot. /v1/algorithms is answered from the compiled-in registry,
+// identical on every binary.
+func NewHandler(api API) http.Handler {
+	h := handler{api}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /healthz/live", s.handleHealthz)
-	mux.HandleFunc("GET /healthz/ready", s.handleReady)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/collections", s.handleList)
-	mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
-	mux.HandleFunc("PUT /v1/collections/{key}", s.handleCreate)
-	mux.HandleFunc("DELETE /v1/collections/{key}", s.handleDrop)
-	mux.HandleFunc("POST /v1/collections/{key}/items", s.handleIngest)
-	mux.HandleFunc("DELETE /v1/collections/{key}/items/{element}", s.handleDeleteItem)
-	mux.HandleFunc("GET /v1/collections/{key}/classes", s.handleClasses)
-	mux.HandleFunc("GET /v1/collections/{key}/classes/{element}", s.handleClassOf)
-	mux.HandleFunc("POST /v1/collections/{key}/classes/{class}/invalidate", s.handleInvalidate)
-	mux.HandleFunc("GET /v1/collections/{key}/stats", s.handleStats)
-	mux.HandleFunc("PATCH /v1/collections/{key}/resilience", s.handleUpdateResilience)
+	mux.HandleFunc("GET /healthz", h.live)
+	mux.HandleFunc("GET /healthz/live", h.live)
+	mux.HandleFunc("GET /healthz/ready", h.ready)
+	mux.HandleFunc("GET /metrics", h.metrics)
+	mux.HandleFunc("GET /v1/collections", h.list)
+	mux.HandleFunc("GET /v1/algorithms", h.algorithms)
+	mux.HandleFunc("PUT /v1/collections/{key}", h.create)
+	mux.HandleFunc("DELETE /v1/collections/{key}", h.drop)
+	mux.HandleFunc("POST /v1/collections/{key}/items", h.ingest)
+	mux.HandleFunc("DELETE /v1/collections/{key}/items/{element}", h.deleteItem)
+	mux.HandleFunc("GET /v1/collections/{key}/classes", h.classes)
+	mux.HandleFunc("GET /v1/collections/{key}/classes/{element}", h.classOf)
+	mux.HandleFunc("POST /v1/collections/{key}/classes/{class}/invalidate", h.invalidate)
+	mux.HandleFunc("GET /v1/collections/{key}/stats", h.stats)
+	mux.HandleFunc("PATCH /v1/collections/{key}/resilience", h.updateResilience)
 	return mux
+}
+
+// RemoteError is an error that crossed the cluster wire: the owning
+// node answered, but with a failure. Status is the node's StatusOf
+// mapping, so a coordinator relays it verbatim, and Go callers can
+// still switch on it. RetryAfter is non-zero only for rejections that
+// carried a Retry-After.
+type RemoteError struct {
+	Status     int
+	Msg        string
+	RetryAfter time.Duration
+}
+
+func (e *RemoteError) Error() string { return e.Msg }
+
+// StatusOf is the one error → status table: the HTTP handler writes it,
+// and a cluster node encodes it into its wire error responses, so both
+// roles answer every failure alike. retryAfter is positive exactly when
+// the response carries Retry-After (degraded rejections).
+func StatusOf(err error) (status int, retryAfter time.Duration) {
+	var de *DegradedError
+	if errors.As(err, &de) {
+		return http.StatusServiceUnavailable, de.RetryAfter
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return re.Status, re.RetryAfter
+	}
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound, 0
+	case errors.Is(err, ErrExists):
+		return http.StatusConflict, 0
+	case errors.Is(err, ErrBadItem), errors.Is(err, ErrBadSpec):
+		return http.StatusBadRequest, 0
+	case errors.Is(err, core.ErrConstRoundFailed), errors.Is(err, core.ErrAdaptiveExhausted):
+		// A const-round fold failed its λ promise on the collection's
+		// current sub-universe — a documented, retryable regimen outcome
+		// (the buffered items survive; a later fold may succeed as data
+		// arrives), not a server bug.
+		return http.StatusConflict, 0
+	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled):
+		// context.Canceled surfaces from folds aborted by Close, and from
+		// a coordinator call whose client went away.
+		return http.StatusServiceUnavailable, 0
+	}
+	return http.StatusInternalServerError, 0
 }
 
 // ingestRequest is the POST items body.
@@ -71,45 +154,25 @@ type errorResponse struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	// The status line is already sent: an encode or write failure here
+	// (a client gone mid-response) has no one left to report to.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError maps service errors onto HTTP statuses.
+// writeError writes err with its StatusOf status.
 func writeError(w http.ResponseWriter, err error) {
-	var de *DegradedError
-	if errors.As(err, &de) {
-		// Degraded write: tell the client when the breaker admits its
-		// next probe. Ceil to whole seconds, minimum 1 — Retry-After: 0
-		// would invite an immediate hammer.
-		secs := int64((de.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+	status, ra := StatusOf(err)
+	if ra > 0 {
+		// Ceil to whole seconds: a sub-second wait must not round down
+		// to Retry-After: 0, which would invite an immediate hammer.
+		secs := int64((ra + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, ErrExists):
-		status = http.StatusConflict
-	case errors.Is(err, ErrBadItem), errors.Is(err, ErrBadSpec):
-		status = http.StatusBadRequest
-	case errors.Is(err, core.ErrConstRoundFailed), errors.Is(err, core.ErrAdaptiveExhausted):
-		// A const-round fold failed its λ promise on the collection's
-		// current sub-universe — a documented, retryable regimen outcome
-		// (the buffered items survive; a later fold may succeed as data
-		// arrives), not a server bug.
-		status = http.StatusConflict
-	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled):
-		// context.Canceled surfaces from folds aborted by Close.
-		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+func writeBadRequest(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
 // decodeBody parses a JSON request body into v, rejecting unknown fields
@@ -123,22 +186,249 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// boolParam interprets ?name=1 / true / yes (any case) as true.
+func boolParam(r *http.Request, name string) bool {
+	switch strings.ToLower(r.URL.Query().Get(name)) {
+	case "1", "true", "yes", "on":
+		return true
+	}
+	return false
+}
+
+// intPath parses the integer path segment name, answering 400 itself
+// when it is not one.
+func intPath(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
+	v, err := strconv.Atoi(r.PathValue(name))
+	if err != nil {
+		writeBadRequest(w, fmt.Errorf("service: bad %s %q: not an integer", name, r.PathValue(name)))
+		return 0, false
+	}
+	return v, true
+}
+
+// handler serves NewHandler's routes over one API.
+type handler struct{ api API }
+
+func (h handler) live(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, h.api.Live())
+}
+
+// ready is the readiness probe: 200 when the API reports ready, 503
+// with its body otherwise. Liveness stays 200 throughout: a degraded
+// server is alive, still serving snapshots, and must not be restarted
+// into losing them.
+func (h handler) ready(w http.ResponseWriter, r *http.Request) {
+	ok, body := h.api.Ready(r.Context())
+	status := http.StatusOK
+	if !ok {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, body)
+}
+
+func (h handler) metrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	h.api.WriteMetrics(r.Context(), w)
+}
+
+func (h handler) list(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"collections": h.api.List(r.Context())})
+}
+
+// algorithms serves the sorting-regimen registry: the names a
+// collection spec's "algorithm" field accepts, each with its
+// comparison-model mode, consumed/required hints, and round complexity.
+func (h handler) algorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"uptime_seconds": s.Uptime().Seconds(),
-		"shards":         len(s.shards),
-		"collections":    len(s.Collections()),
+		"default":    AlgorithmIncremental,
+		"algorithms": algo.Infos(),
 	})
 }
 
-// handleReady is the readiness probe: 200 when every collection's
-// oracle breaker admits writes, 503 with the degraded collections —
-// their breaker state and probe cooldown — otherwise. Liveness
-// (/healthz, /healthz/live) stays 200 throughout: a degraded service is
-// alive, still serving snapshots, and must not be restarted into losing
-// them.
-func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
+func (h handler) create(w http.ResponseWriter, r *http.Request) {
+	var spec OracleSpec
+	if err := decodeBody(r, &spec); err != nil {
+		writeBadRequest(w, err)
+		return
+	}
+	info, err := h.api.CreateCollection(r.Context(), r.PathValue("key"), spec)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]any{
+		"key":       info.Key,
+		"kind":      info.Kind,
+		"universe":  info.Universe,
+		"algorithm": info.Algorithm,
+	})
+}
+
+func (h handler) drop(w http.ResponseWriter, r *http.Request) {
+	if err := h.api.DropCollection(r.Context(), r.PathValue("key")); err != nil {
+		writeError(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (h handler) ingest(w http.ResponseWriter, r *http.Request) {
+	// The hottest write path decodes through the pooled streaming
+	// decoder (ingestdecode.go) instead of decodeBody: items land in a
+	// reusable arena with zero per-item allocations. Ingest copies what
+	// it keeps (a node's WAL encode buffer and sorter Adds, a
+	// coordinator's wire body), so the arena is safe to recycle once
+	// the call returns.
+	d := getItemsDecoder()
+	items, err := d.decode(io.LimitReader(r.Body, maxIngestBody))
+	if err != nil {
+		putItemsDecoder(d)
+		writeBadRequest(w, err)
+		return
+	}
+	res, err := h.api.Ingest(r.Context(), r.PathValue("key"), items, boolParam(r, "flush"))
+	putItemsDecoder(d)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, res)
+}
+
+func (h handler) deleteItem(w http.ResponseWriter, r *http.Request) {
+	element, ok := intPath(w, r, "element")
+	if !ok {
+		return
+	}
+	res, err := h.api.DeleteItem(r.Context(), r.PathValue("key"), element)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
+func (h handler) invalidate(w http.ResponseWriter, r *http.Request) {
+	class, ok := intPath(w, r, "class")
+	if !ok {
+		return
+	}
+	res, err := h.api.InvalidateClass(r.Context(), r.PathValue("key"), class, boolParam(r, "flush"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, res)
+}
+
+func (h handler) classes(w http.ResponseWriter, r *http.Request) {
+	snap, err := h.api.Classes(r.Context(), r.PathValue("key"), boolParam(r, "fresh"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, snap)
+}
+
+func (h handler) classOf(w http.ResponseWriter, r *http.Request) {
+	element, ok := intPath(w, r, "element")
+	if !ok {
+		return
+	}
+	view, err := h.api.ClassOf(r.Context(), r.PathValue("key"), element, boolParam(r, "fresh"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, view)
+}
+
+// updateResilience live-updates a collection's resilience profile —
+// votes, timeouts, breaker tuning — without recreating it. The update
+// is WAL-logged, so it survives a restart.
+func (h handler) updateResilience(w http.ResponseWriter, r *http.Request) {
+	var rs ResilienceSpec
+	if err := decodeBody(r, &rs); err != nil {
+		writeBadRequest(w, err)
+		return
+	}
+	key := r.PathValue("key")
+	if err := h.api.UpdateResilience(r.Context(), key, rs); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"key": key, "resilience": rs})
+}
+
+func (h handler) stats(w http.ResponseWriter, r *http.Request) {
+	info, err := h.api.Stats(r.Context(), r.PathValue("key"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, info)
+}
+
+// local adapts *Service to API. The local service takes no request
+// context, so every method drops it.
+type local struct{ s *Service }
+
+func (l local) CreateCollection(_ context.Context, key string, spec OracleSpec) (CollectionInfo, error) {
+	if err := l.s.CreateCollection(key, spec); err != nil {
+		return CollectionInfo{}, err
+	}
+	_, algoName, _ := spec.algorithm() // validated by CreateCollection
+	return CollectionInfo{Key: key, Kind: spec.Kind, Algorithm: algoName, Universe: spec.N()}, nil
+}
+
+func (l local) DropCollection(_ context.Context, key string) error { return l.s.DropCollection(key) }
+
+func (l local) Ingest(_ context.Context, key string, items []int, flush bool) (IngestResult, error) {
+	return l.s.Ingest(key, items, flush)
+}
+
+func (l local) DeleteItem(_ context.Context, key string, element int) (ChurnResult, error) {
+	return l.s.DeleteItem(key, element)
+}
+
+func (l local) InvalidateClass(_ context.Context, key string, class int, flush bool) (ChurnResult, error) {
+	return l.s.InvalidateClass(key, class, flush)
+}
+
+func (l local) Classes(_ context.Context, key string, fresh bool) (*Snapshot, error) {
+	return l.s.Classes(key, fresh)
+}
+
+func (l local) ClassOf(_ context.Context, key string, element int, fresh bool) (ClassView, error) {
+	return l.s.ClassOf(key, element, fresh)
+}
+
+func (l local) Stats(_ context.Context, key string) (CollectionInfo, error) {
+	return l.s.CollectionStats(key)
+}
+
+func (l local) List(context.Context) []CollectionInfo { return l.s.Collections() }
+
+func (l local) UpdateResilience(_ context.Context, key string, rs ResilienceSpec) error {
+	return l.s.UpdateResilience(key, rs)
+}
+
+func (l local) Live() any {
+	return map[string]any{
+		"status":         "ok",
+		"uptime_seconds": l.s.Uptime().Seconds(),
+		"shards":         len(l.s.shards),
+		"collections":    len(l.s.Collections()),
+	}
+}
+
+func (l local) Ready(context.Context) (bool, any)           { return l.s.readiness() }
+func (l local) WriteMetrics(_ context.Context, w io.Writer) { l.s.writeMetrics(w) }
+
+// readiness is ready when every collection's oracle breaker admits
+// writes; otherwise its body lists the degraded collections with their
+// breaker state and probe cooldown.
+func (s *Service) readiness() (bool, any) {
 	type degradedInfo struct {
 		Key               string  `json:"key"`
 		Breaker           string  `json:"breaker"`
@@ -166,166 +456,19 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		"collections": collections,
 		"recovery":    s.recovery,
 	}
-	status := http.StatusOK
 	if len(degraded) > 0 {
 		body["status"] = "degraded"
 		body["degraded"] = degraded
-		status = http.StatusServiceUnavailable
+		return false, body
 	}
-	writeJSON(w, status, body)
+	return true, body
 }
 
-func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"collections": s.Collections()})
-}
-
-// handleAlgorithms serves the sorting-regimen registry: the names a
-// collection spec's "algorithm" field accepts, each with its
-// comparison-model mode, consumed/required hints, and round complexity.
-func (s *Service) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"default":    AlgorithmIncremental,
-		"algorithms": algo.Infos(),
-	})
-}
-
-func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec OracleSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	key := r.PathValue("key")
-	if err := s.CreateCollection(key, spec); err != nil {
-		writeError(w, err)
-		return
-	}
-	_, algoName, _ := spec.algorithm() // validated by CreateCollection
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"key":       key,
-		"kind":      spec.Kind,
-		"universe":  spec.N(),
-		"algorithm": algoName,
-	})
-}
-
-func (s *Service) handleDrop(w http.ResponseWriter, r *http.Request) {
-	if err := s.DropCollection(r.PathValue("key")); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// The hottest write path decodes through the pooled streaming
-	// decoder (ingestdecode.go) instead of decodeBody: items land in a
-	// reusable arena with zero per-item allocations. Ingest copies what
-	// it keeps (WAL encode buffer, sorter Adds), so the arena is safe
-	// to recycle once the call returns.
-	d := getItemsDecoder()
-	items, err := d.decode(io.LimitReader(r.Body, maxIngestBody))
-	if err != nil {
-		putItemsDecoder(d)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	force := boolParam(r, "flush")
-	res, err := s.Ingest(r.PathValue("key"), items, force)
-	putItemsDecoder(d)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
-}
-
-func (s *Service) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("service: bad element %q: not an integer", r.PathValue("element"))})
-		return
-	}
-	res, err := s.DeleteItem(r.PathValue("key"), element)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Service) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	class, err := strconv.Atoi(r.PathValue("class"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("service: bad class %q: not an integer", r.PathValue("class"))})
-		return
-	}
-	res, err := s.InvalidateClass(r.PathValue("key"), class, boolParam(r, "flush"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
-}
-
-func (s *Service) handleClasses(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.Classes(r.PathValue("key"), boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Service) handleClassOf(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("service: bad element %q: not an integer", r.PathValue("element"))})
-		return
-	}
-	view, err := s.ClassOf(r.PathValue("key"), element, boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleUpdateResilience live-updates a collection's resilience profile
-// — votes, timeouts, breaker tuning — without recreating it. The update
-// is WAL-logged, so it survives a restart.
-func (s *Service) handleUpdateResilience(w http.ResponseWriter, r *http.Request) {
-	var rs ResilienceSpec
-	if err := decodeBody(r, &rs); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	key := r.PathValue("key")
-	if err := s.UpdateResilience(key, rs); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "resilience": rs})
-}
-
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	info, err := s.CollectionStats(r.PathValue("key"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-// handleMetrics renders Prometheus-style text metrics: service-wide
+// writeMetrics renders Prometheus-style text metrics: service-wide
 // totals plus per-collection series, labeled by collection key. Each
 // collection's snapshot is loaded exactly once per scrape, so every
 // series of one collection comes from the same flush.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+func (s *Service) writeMetrics(w io.Writer) {
 	var infos []CollectionInfo
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -575,13 +718,4 @@ func boolMetric(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// boolParam interprets ?name=1 / true / yes (any case) as true.
-func boolParam(r *http.Request, name string) bool {
-	switch strings.ToLower(r.URL.Query().Get(name)) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }

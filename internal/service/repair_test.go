@@ -233,7 +233,7 @@ func TestDegradedBreakerHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readiness while degraded: %d, want 503", resp.StatusCode)
 	}
-	for _, want := range []string{`"status": "degraded"`, `"key": "d"`, `"breaker": "open"`} {
+	for _, want := range []string{`"status":"degraded"`, `"key":"d"`, `"breaker":"open"`} {
 		if !strings.Contains(string(ready), want) {
 			t.Errorf("readiness body missing %s:\n%s", want, ready)
 		}
@@ -292,7 +292,7 @@ func TestHealthzSplit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz/ready: %d, want 200", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), `"status": "ready"`) {
+	if !strings.Contains(string(body), `"status":"ready"`) {
 		t.Errorf("readiness body missing ready status:\n%s", body)
 	}
 }
