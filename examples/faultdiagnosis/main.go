@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/bits"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const machines = 800
 	const worms = 3 // up to 2³ = 8 malware states
 	rng := rand.New(rand.NewSource(1988))
@@ -30,15 +32,15 @@ func main() {
 	fmt.Printf("fleet of %d machines, %d candidate worms, %d distinct malware states\n\n",
 		machines, worms, fleet.NumStates())
 
-	// The machines know nothing about k; SortER needs no hint.
-	res, err := ecsort.SortER(fleet, ecsort.Config{})
+	// The machines know nothing about k; ER needs no hint.
+	res, err := ecsort.Sort(ctx, fleet, ecsort.ER(), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !ecsort.SameClassification(res.Labels(machines), fleet.TruthLabels()) {
 		log.Fatal("diagnosis grouped machines with different infections")
 	}
-	fmt.Printf("SortER: %d probes in %d parallel rounds\n\n", res.Stats.Comparisons, res.Stats.Rounds)
+	fmt.Printf("ER: %d probes in %d parallel rounds\n\n", res.Stats.Comparisons, res.Stats.Rounds)
 
 	states := fleet.States()
 	fmt.Println("diagnosis (worm sets recovered per group):")
@@ -51,10 +53,10 @@ func main() {
 	// A fleet operator who knows k can use the CR algorithm instead —
 	// e.g. if probes are mediated by a monitor that may query one
 	// machine's state many times per round.
-	res2, err := ecsort.SortCR(fleet, fleet.NumStates(), ecsort.Config{})
+	res2, err := ecsort.Sort(ctx, fleet, ecsort.CR(fleet.NumStates()), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nSortCR with k=%d: %d probes in %d rounds (vs %d rounds for ER)\n",
+	fmt.Printf("\nCR with k=%d: %d probes in %d rounds (vs %d rounds for ER)\n",
 		fleet.NumStates(), res2.Stats.Comparisons, res2.Stats.Rounds, res.Stats.Rounds)
 }

@@ -3,12 +3,13 @@
 // refinement plus backtracking) — "nontrivial but computationally
 // feasible", as the paper puts it. Graphs are passive data, so one graph
 // can take part in many comparisons per round: the concurrent-read model,
-// and SortCR's O(k + log log n) rounds apply.
+// and CR's O(k + log log n) rounds apply.
 //
 //	go run ./examples/graphmining
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const collection = 300
 	const vertices = 12
 	const families = 6
@@ -33,7 +35,7 @@ func main() {
 	fmt.Printf("corpus of %d graphs on %d vertices, %d hidden isomorphism classes\n\n",
 		collection, vertices, families)
 
-	res, err := ecsort.SortCR(corpus, families, ecsort.Config{})
+	res, err := ecsort.Sort(ctx, corpus, ecsort.CR(families), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func main() {
 		log.Fatal("isomorphism classes mis-identified")
 	}
 
-	fmt.Printf("SortCR: %d isomorphism tests in %d parallel rounds\n",
+	fmt.Printf("CR: %d isomorphism tests in %d parallel rounds\n",
 		res.Stats.Comparisons, res.Stats.Rounds)
 	fmt.Printf("(all-pairs testing would need %d tests)\n\n", collection*(collection-1)/2)
 

@@ -19,9 +19,9 @@
 //     cryptographically binding commitment: small state spaces would
 //     admit dictionary attacks in a real deployment.)
 //
-// A Network plugs into the comparison-model substrate as a
-// model.Executor, so every ER algorithm in internal/core runs unchanged
-// on top of genuinely message-passing agents.
+// A Network plugs into the comparison-model substrate through its
+// model.Executor view (Bound), so every ER algorithm in internal/core
+// runs unchanged on top of genuinely message-passing agents.
 package agents
 
 import (
@@ -49,35 +49,25 @@ type Agent interface {
 // Network owns n agents and executes comparison rounds between them.
 type Network struct {
 	agents []Agent
-	pool   *rt.Pool // dispatches a round's protocol sessions; nil = shared
 	// sessions counts pairwise protocol runs, for reporting.
 	sessions int64
 	mu       sync.Mutex
 	seq      uint64
 }
 
-// NewNetwork wraps a set of agents. Rounds dispatch their protocol
-// sessions from the process-wide shared runtime pool; use UsePool to
-// route them through a dedicated one. The shared pool is resolved
-// lazily at the first round, so wrapping a roster (or running single
-// Same probes) never spins up pool workers.
+// NewNetwork wraps a set of agents. Rounds execute through an executor
+// view from Bound, which picks the runtime pool their protocol sessions
+// dispatch from. The shared pool is resolved lazily at the first round,
+// so wrapping a roster (or running single Same probes) never spins up
+// pool workers.
 func NewNetwork(agents []Agent) *Network {
 	return &Network{agents: agents}
 }
 
-// UsePool makes subsequent rounds dispatch their protocol sessions from
-// p instead of the shared runtime pool; nil restores the shared pool.
-// Not safe to call concurrently with ExecuteRound. The binding is
-// network-wide and last-writer-wins; sessions that need their own pool
-// without re-routing everyone else's rounds should execute through
-// Bound instead.
-func (nw *Network) UsePool(p *rt.Pool) { nw.pool = p }
-
 // Bound returns an executor view of the network whose rounds dispatch
-// from p (nil: the shared pool), without touching the network's own
-// binding. Each session gets its own Bound executor, so creating a
-// second session never silently re-routes an earlier session's rounds —
-// the per-session binding NewAgentSession relies on.
+// from p (nil: the shared pool). Each session gets its own Bound
+// executor, so creating a second session never re-routes an earlier
+// session's rounds — the per-session binding NewAgentSession relies on.
 func (nw *Network) Bound(p *rt.Pool) model.Executor {
 	return &boundNetwork{nw: nw, pool: p}
 }
@@ -88,20 +78,51 @@ type boundNetwork struct {
 	pool *rt.Pool
 }
 
-// ExecuteRound implements model.Executor on the pinned pool.
+// ExecuteRound implements model.Executor: it runs a round's protocol
+// sessions concurrently on the pinned pool after checking the ER rule,
+// dispatching one session per runtime chunk so the concurrency of a
+// round is bounded by the pool's width instead of spawning an unbounded
+// goroutine per pair (each session still runs its two agent goroutines
+// internally). Both sides of a session must agree on the verdict;
+// disagreement panics, because it means the pairwise protocol itself is
+// broken.
 func (b *boundNetwork) ExecuteRound(pairs []model.Pair) []bool {
-	return b.nw.executeRound(b.pool, pairs)
+	busy := make(map[int]struct{}, 2*len(pairs))
+	for _, p := range pairs {
+		if _, dup := busy[p.A]; dup {
+			panic(fmt.Sprintf("agents: agent %d scheduled twice in one round", p.A))
+		}
+		if _, dup := busy[p.B]; dup {
+			panic(fmt.Sprintf("agents: agent %d scheduled twice in one round", p.B))
+		}
+		busy[p.A] = struct{}{}
+		busy[p.B] = struct{}{}
+	}
+	nw := b.nw
+	nw.mu.Lock()
+	base := nw.seq
+	nw.seq += uint64(len(pairs))
+	nw.sessions += int64(len(pairs))
+	nw.mu.Unlock()
+
+	pool := b.pool
+	if pool == nil {
+		pool = rt.Shared()
+	}
+	run := roundRun{nw: nw, base: base, pairs: pairs, out: make([]bool, len(pairs))}
+	pool.Run(len(pairs), len(pairs), &run)
+	return run.out
 }
 
 // Batch returns a batch-oracle view of the network whose chunks
 // dispatch from p (nil: the shared pool), the concurrent-read sibling
 // of Bound: handing it to model.NewSession schedules every worker-pool
 // chunk as a wave of real protocol sessions instead of one session per
-// Same call. Unlike ExecuteRound it skips the ER-disjointness check —
-// a CR chunk may legitimately schedule one agent into several
+// Same call. Unlike Bound's ExecuteRound it skips the ER-disjointness
+// check — a CR chunk may legitimately schedule one agent into several
 // concurrent sessions, which is safe because handshakes are pure
 // functions of (sessionID, private state). Like Bound, the pool
-// binding is per-view and never re-routes the network's own rounds.
+// binding is per-view.
 func (nw *Network) Batch(p *rt.Pool) model.BatchOracle {
 	return &batchNetwork{nw: nw, pool: p}
 }
@@ -120,8 +141,8 @@ func (b *batchNetwork) Same(i, j int) bool { return b.nw.Same(i, j) }
 
 // SameBatch implements model.BatchOracle: one mutex acquisition
 // allocates the whole chunk's session-ID block, then every pair's
-// handshake wave runs concurrently on the pinned pool. This is
-// executeRound minus the busy-map check and the result allocation —
+// handshake wave runs concurrently on the pinned pool. This is Bound's
+// ExecuteRound minus the busy-map check and the result allocation —
 // verdicts land in the caller's out slice by index.
 //
 //ecsort:hotpath
@@ -154,8 +175,8 @@ func (nw *Network) Sessions() int64 {
 
 // Same implements model.Oracle by running a single protocol session, so a
 // Network can be handed directly to model.NewSession — pass the network
-// both as the oracle and as the executor (model.WithExecutor) to route
-// whole rounds through concurrent agent sessions.
+// as the oracle and nw.Bound(pool) as the executor (model.WithExecutor)
+// to route whole rounds through concurrent agent sessions.
 func (nw *Network) Same(i, j int) bool {
 	nw.mu.Lock()
 	id := nw.seq
@@ -163,45 +184,6 @@ func (nw *Network) Same(i, j int) bool {
 	nw.sessions++
 	nw.mu.Unlock()
 	return nw.runSession(id, i, j)
-}
-
-// ExecuteRound implements model.Executor: it runs a round's protocol
-// sessions concurrently after checking the ER rule, dispatching one
-// session per runtime chunk so the concurrency of a round is bounded by
-// the pool's width instead of spawning an unbounded goroutine per pair
-// (each session still runs its two agent goroutines internally). Both
-// sides of a session must agree on the verdict; disagreement panics,
-// because it means the pairwise protocol itself is broken.
-func (nw *Network) ExecuteRound(pairs []model.Pair) []bool {
-	return nw.executeRound(nw.pool, pairs)
-}
-
-// executeRound runs one round's protocol sessions on the given pool
-// (nil: shared), the common core of ExecuteRound and Bound executors.
-func (nw *Network) executeRound(pool *rt.Pool, pairs []model.Pair) []bool {
-	busy := make(map[int]struct{}, 2*len(pairs))
-	for _, p := range pairs {
-		if _, dup := busy[p.A]; dup {
-			panic(fmt.Sprintf("agents: agent %d scheduled twice in one round", p.A))
-		}
-		if _, dup := busy[p.B]; dup {
-			panic(fmt.Sprintf("agents: agent %d scheduled twice in one round", p.B))
-		}
-		busy[p.A] = struct{}{}
-		busy[p.B] = struct{}{}
-	}
-	nw.mu.Lock()
-	base := nw.seq
-	nw.seq += uint64(len(pairs))
-	nw.sessions += int64(len(pairs))
-	nw.mu.Unlock()
-
-	if pool == nil {
-		pool = rt.Shared()
-	}
-	run := roundRun{nw: nw, base: base, pairs: pairs, out: make([]bool, len(pairs))}
-	pool.Run(len(pairs), len(pairs), &run)
-	return run.out
 }
 
 // roundRun adapts one round of protocol sessions to the runtime's chunk

@@ -37,13 +37,13 @@ func TestStateAgentsHandshake(t *testing.T) {
 func TestExecuteRoundConcurrentSessions(t *testing.T) {
 	labels := []int{0, 0, 1, 1, 2, 2}
 	nw := NewNetwork(GroupKeys(labels, 7))
-	res := nw.ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}})
+	res := nw.Bound(nil).ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}})
 	for i, r := range res {
 		if !r {
 			t.Fatalf("pair %d should match", i)
 		}
 	}
-	res = nw.ExecuteRound([]model.Pair{{A: 0, B: 2}, {A: 1, B: 4}})
+	res = nw.Bound(nil).ExecuteRound([]model.Pair{{A: 0, B: 2}, {A: 1, B: 4}})
 	if res[0] || res[1] {
 		t.Fatal("cross-group handshakes matched")
 	}
@@ -59,7 +59,7 @@ func TestExecuteRoundEnforcesER(t *testing.T) {
 			t.Fatal("double-booked agent did not panic")
 		}
 	}()
-	nw.ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 1, B: 2}})
+	nw.Bound(nil).ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 1, B: 2}})
 }
 
 // TestFullSortsOverNetwork runs every ER algorithm on a live agent
@@ -74,7 +74,7 @@ func TestFullSortsOverNetwork(t *testing.T) {
 
 	t.Run("SortER over key agents", func(t *testing.T) {
 		nw := NewNetwork(GroupKeys(labels, 99))
-		s := model.NewSession(nw, model.ER, model.WithExecutor(nw))
+		s := model.NewSession(nw, model.ER, model.WithExecutor(nw.Bound(nil)))
 		res, err := core.SortER(s)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestFullSortsOverNetwork(t *testing.T) {
 			states[i] = uint64(l) * 0x9e3779b97f4a7c15
 		}
 		nw := NewNetwork(StateRoster(states))
-		s := model.NewSession(nw, model.ER, model.WithExecutor(nw))
+		s := model.NewSession(nw, model.ER, model.WithExecutor(nw.Bound(nil)))
 		res, err := core.RoundRobin(s)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestFullSortsOverNetwork(t *testing.T) {
 			balanced[i] = i % 3
 		}
 		nw := NewNetwork(GroupKeys(balanced, 5))
-		s := model.NewSession(nw, model.ER, model.WithExecutor(nw))
+		s := model.NewSession(nw, model.ER, model.WithExecutor(nw.Bound(nil)))
 		res, err := core.SortConstRoundER(s, core.ConstRoundConfig{
 			Lambda:     0.2,
 			D:          10,
@@ -157,8 +157,8 @@ func TestNetworkQuick(t *testing.T) {
 // session id (nonce reuse across sessions would be a protocol smell).
 func TestSessionIDsDistinct(t *testing.T) {
 	nw := NewNetwork(GroupKeys([]int{0, 0, 0, 0}, 3))
-	nw.ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 3}})
-	nw.ExecuteRound([]model.Pair{{A: 0, B: 2}, {A: 1, B: 3}})
+	nw.Bound(nil).ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 3}})
+	nw.Bound(nil).ExecuteRound([]model.Pair{{A: 0, B: 2}, {A: 1, B: 3}})
 	if nw.seq != 4 {
 		t.Fatalf("seq = %d, want 4", nw.seq)
 	}
@@ -174,9 +174,10 @@ func BenchmarkNetworkRound(b *testing.B) {
 	for i := 0; i < 256; i += 2 {
 		pairs = append(pairs, model.Pair{A: i, B: i + 1})
 	}
+	ex := nw.Bound(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw.ExecuteRound(pairs)
+		ex.ExecuteRound(pairs)
 	}
 }
 
@@ -224,8 +225,8 @@ func TestBoundExecutorPerSessionPools(t *testing.T) {
 
 // TestBatchOracleView: the batch view answers whole chunks with a block
 // of real protocol sessions, matching per-pair handshakes bit for bit
-// — including CR chunks that repeat an agent, which ExecuteRound's ER
-// check would reject.
+// — including CR chunks that repeat an agent, which Bound's ER check
+// would reject.
 func TestBatchOracleView(t *testing.T) {
 	labels := []int{0, 1, 0, 2, 1, 0}
 	nw := NewNetwork(GroupKeys(labels, 21))
@@ -280,5 +281,70 @@ func TestBatchOracleViewFullSort(t *testing.T) {
 	}
 	if nwBatch.Sessions() != nwPlain.Sessions() {
 		t.Errorf("protocol sessions diverge: batch %d, plain %d", nwBatch.Sessions(), nwPlain.Sessions())
+	}
+}
+
+// TestBoundRoundMatchesSame: a pooled round's verdicts equal the
+// per-pair handshakes, and each pair costs exactly one session.
+func TestBoundRoundMatchesSame(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	labels := make([]int, 40)
+	for i := range labels {
+		labels[i] = rng.Intn(3)
+	}
+	nw := NewNetwork(GroupKeys(labels, 5))
+	pool := rt.NewPool(2)
+	defer pool.Close()
+	perm := rng.Perm(len(labels))
+	round := make([]model.Pair, 0, len(perm)/2)
+	for i := 0; i+1 < len(perm); i += 2 {
+		round = append(round, model.Pair{A: perm[i], B: perm[i+1]})
+	}
+	got := nw.Bound(pool).ExecuteRound(round)
+	if nw.Sessions() != int64(len(round)) {
+		t.Fatalf("Sessions = %d after one round of %d pairs", nw.Sessions(), len(round))
+	}
+	for i, p := range round {
+		if want := labels[p.A] == labels[p.B]; got[i] != want {
+			t.Errorf("pair %d (%d,%d) = %v, want %v", i, p.A, p.B, got[i], want)
+		}
+		if nw.Same(p.A, p.B) != got[i] {
+			t.Errorf("pair %d: round verdict disagrees with Same", i)
+		}
+	}
+}
+
+// TestBoundRejectsBusyAgentBeforeDispatch: the ER check runs before any
+// session is counted or dispatched, so a rejected round leaves the
+// network's accounting and the pinned pool untouched.
+func TestBoundRejectsBusyAgentBeforeDispatch(t *testing.T) {
+	nw := NewNetwork(GroupKeys([]int{0, 1, 0, 1}, 3))
+	pool := rt.NewPool(2)
+	defer pool.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("double-booked agent did not panic")
+			}
+		}()
+		nw.Bound(pool).ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 0}})
+	}()
+	if nw.Sessions() != 0 {
+		t.Errorf("rejected round counted %d sessions", nw.Sessions())
+	}
+	if jobs := pool.Stats().Jobs; jobs != 0 {
+		t.Errorf("rejected round dispatched %d jobs", jobs)
+	}
+}
+
+// TestBoundEmptyRound: an empty round answers nothing and runs no
+// session.
+func TestBoundEmptyRound(t *testing.T) {
+	nw := NewNetwork(GroupKeys([]int{0, 1}, 3))
+	if got := nw.Bound(nil).ExecuteRound(nil); len(got) != 0 {
+		t.Fatalf("empty round returned %d verdicts", len(got))
+	}
+	if nw.Sessions() != 0 {
+		t.Fatalf("empty round ran %d sessions", nw.Sessions())
 	}
 }

@@ -3,8 +3,6 @@ package algo
 import (
 	"fmt"
 	"sort"
-
-	"ecsort/internal/model"
 )
 
 // Info describes one registry entry for listings: the GET /v1/algorithms
@@ -176,17 +174,4 @@ func ByName(name string, h Hints) (Algorithm, error) {
 		}
 	}
 	return nil, fmt.Errorf("algo: unknown algorithm %q (known: %v)", name, Names())
-}
-
-// ModeOf maps an Info.Mode string back to the model constant; ok is
-// false for "any".
-func ModeOf(mode string) (model.Mode, bool) {
-	switch mode {
-	case "ER":
-		return model.ER, true
-	case "CR":
-		return model.CR, true
-	default:
-		return 0, false
-	}
 }

@@ -62,6 +62,7 @@ var All = []*Analyzer{
 	CtxFlow,
 	APIDoc,
 	RegistryComplete,
+	DeadExport,
 }
 
 // ByName returns the analyzers matching the comma-separated list, or All
@@ -127,6 +128,7 @@ type vetState struct {
 	findings []Finding
 	ignores  map[ignoreKey]bool
 	factsBy  map[*Package]*fileFacts
+	refs     map[types.Object]bool // module-wide uses; see references
 }
 
 func (v *vetState) report(analyzer string, pos token.Position, msg string) {

@@ -13,8 +13,10 @@ import (
 
 // fixturePkgs are the violation-seeding packages under testdata/src,
 // loaded into the real module's type universe (so they can import
-// ecsort/internal/model) and analyzed alongside it.
-var fixturePkgs = []string{"oracleround", "hotalloc", "shardown", "ctxflow", "registrycomplete"}
+// ecsort/internal/model) and analyzed alongside it. A fixture loads
+// before any fixture that imports it, so the importer reuses the
+// registered package instead of type-checking a second copy.
+var fixturePkgs = []string{"oracleround", "hotalloc", "shardown", "ctxflow", "registrycomplete", "deadexport", "deadexportuse"}
 
 var (
 	fixOnce     sync.Once
@@ -191,5 +193,56 @@ func TestVetLoadErrors(t *testing.T) {
 	if _, err := Vet("."); err == nil {
 		// internal/analysis itself has no go.mod, so it is not a module root.
 		t.Fatal("Vet on a non-module directory did not error")
+	}
+}
+
+// TestDeadExportScope runs deadexport alone over a standalone
+// mini-module: only exported package-level funcs and vars under
+// internal/ are in scope, a generic func's instantiation keeps its
+// origin alive, and a reason-less ignore suppresses nothing.
+func TestDeadExportScope(t *testing.T) {
+	dir := filepath.Join("testdata", "deadexportmod")
+	findings, err := Vet(dir, DeadExport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []struct{ name, dir string }{
+		{"root", dir},
+		{"internal_lib", filepath.Join(dir, "internal", "lib")},
+	} {
+		t.Run(sub.name, func(t *testing.T) {
+			checkAgainstWants(t, findings, sub.dir)
+		})
+	}
+	malformed := 0
+	for _, f := range findings {
+		if f.Analyzer == "ignore" {
+			malformed++
+		}
+	}
+	if malformed != 1 {
+		t.Errorf("got %d malformed-ignore findings, want 1", malformed)
+	}
+}
+
+// TestAnalyzerSuite pins the suite's membership: seven analyzers with
+// distinct names, each resolvable by ByName.
+func TestAnalyzerSuite(t *testing.T) {
+	if len(All) != 7 {
+		t.Fatalf("len(All) = %d, want 7", len(All))
+	}
+	seen := map[string]bool{}
+	for _, a := range All {
+		if seen[a.Name] {
+			t.Errorf("duplicate analyzer name %q", a.Name)
+		}
+		seen[a.Name] = true
+		got, err := ByName(a.Name)
+		if err != nil || len(got) != 1 || got[0] != a {
+			t.Errorf("ByName(%q) = %v, err %v", a.Name, got, err)
+		}
+	}
+	if !seen[DeadExport.Name] {
+		t.Error("deadexport is not in All")
 	}
 }

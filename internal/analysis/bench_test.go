@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 // BenchmarkEcsVet measures one full suite run — module load, type check,
-// and all six analyzers over every package — which is what every tier-1
+// and all seven analyzers over every package — which is what every tier-1
 // test run and CI lint step pays.
 func BenchmarkEcsVet(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -14,14 +14,18 @@
 //     goroutine, and sync/atomic fields only through their methods.
 //   - ctxflow: contexts thread through entry points instead of being
 //     re-rooted with context.Background.
-//   - apidoc: the committed API surface is documented and v1 wrappers
-//     carry Deprecated markers.
+//   - apidoc: every symbol of the committed API surface is documented.
 //   - registrycomplete: every exported Algorithm constructor is wired
 //     into the registry.
+//   - deadexport: every exported func and var under internal/ is
+//     referenced by some non-test file, so nothing stays alive only
+//     for its own tests.
 //
 // Findings are suppressed, one line at a time, with
 // //ecsort:ignore <analyzer> <reason> on (or immediately above) the
-// offending line; the reason is mandatory.
+// offending line; the reason is mandatory. A deadexport suppression
+// sits on the symbol's declaration and names why tests or benchmarks
+// need it.
 package analysis
 
 import (

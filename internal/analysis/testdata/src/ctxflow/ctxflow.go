@@ -1,6 +1,6 @@
 // Package ctxflow seeds violations for the ctxflow analyzer: detached
-// context roots, an entry point without a context, plus the deprecated
-// and ignore-suppressed escapes.
+// context roots, entry points without a context (a "Deprecated:"
+// marker exempts nothing), and the ignore-suppressed escape.
 package ctxflow
 
 import "context"
@@ -16,12 +16,12 @@ func todo() context.Context {
 }
 
 // SortValues is an entry point that cannot be cancelled.
-func SortValues(xs []int) []int { // want ctxflow
+func SortValues(xs []int) []int { // want ctxflow deadexport
 	return xs
 }
 
 // SortSorted threads the caller's context, so it is legal.
-func SortSorted(ctx context.Context, xs []int) []int {
+func SortSorted(ctx context.Context, xs []int) []int { // want deadexport
 	_ = ctx
 	return xs
 }
@@ -29,8 +29,8 @@ func SortSorted(ctx context.Context, xs []int) []int {
 // SortLegacy keeps its historic shape.
 //
 // Deprecated: use SortSorted.
-func SortLegacy(xs []int) []int {
-	ctx := context.Background()
+func SortLegacy(xs []int) []int { // want ctxflow deadexport
+	ctx := context.Background() // want ctxflow
 	_ = ctx
 	return xs
 }

@@ -16,7 +16,7 @@ func (a alg) Name() string { return a.name }
 func Wired() Algorithm { return alg{name: "wired"} }
 
 // Orphan never made it into the registry.
-func Orphan() Algorithm { return alg{name: "orphan"} } // want registrycomplete
+func Orphan() Algorithm { return alg{name: "orphan"} } // want registrycomplete deadexport
 
 // helper is unexported, so the registry owes it nothing.
 func helper() Algorithm { return alg{name: "helper"} }

@@ -6,9 +6,11 @@ import (
 	"ecsort/internal/model"
 )
 
-// Ablations of the Theorem 1 design, used by the benchmark suite to show
-// that each ingredient of the two-phase compounding-comparison technique
-// earns its keep (see DESIGN.md's experiment index).
+// Ablations of the Theorem 1 design: reference implementations that
+// TestAblationPhase1Matters and TestAblationPhase2Matters
+// (ablation_test.go) compare SortCR against, with golden rows in
+// golden_test.go, to show that each ingredient of the two-phase
+// compounding-comparison technique earns its keep.
 
 // SortCRPairwiseOnly is SortCR with phase 2 disabled: answers are only
 // ever merged in pairs, all the way to a single answer. Without the
@@ -16,6 +18,8 @@ import (
 // algorithm needs Θ(log n) iterations after the classes saturate —
 // Θ(k + log n) rounds instead of Θ(k + log log n). Correctness is
 // unaffected; the ablation isolates the value of group compounding.
+//
+//ecsort:ignore deadexport reference implementation that TestAblationPhase2Matters and golden rows compare SortCR against
 func SortCRPairwiseOnly(s *model.Session, k int) (Result, error) {
 	if s.Mode() != model.CR {
 		return Result{}, fmt.Errorf("core: SortCRPairwiseOnly requires a CR session, got %v", s.Mode())
@@ -43,6 +47,8 @@ func SortCRPairwiseOnly(s *model.Session, k int) (Result, error) {
 // processors per answer the early group rounds blow past the budget and
 // must be split into many physical rounds — the ablation isolates why
 // phase 1 must first build up 4k² processors per answer.
+//
+//ecsort:ignore deadexport reference implementation that TestAblationPhase1Matters and golden rows compare SortCR against
 func SortCREagerGroups(s *model.Session, k int) (Result, error) {
 	if s.Mode() != model.CR {
 		return Result{}, fmt.Errorf("core: SortCREagerGroups requires a CR session, got %v", s.Mode())

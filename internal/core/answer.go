@@ -39,6 +39,8 @@ var singletonOffs = []int{0, 1}
 // NewAnswer builds an answer from explicit classes, copying them into
 // flat storage. Intended for tests and answer construction at the edges;
 // the merge engine builds flat storage directly.
+//
+//ecsort:ignore deadexport merge-layer entry point pinned by alloc_test, answer_test and BenchmarkMergeGroup
 func NewAnswer(classes [][]int) Answer {
 	size := 0
 	for _, c := range classes {
@@ -59,6 +61,8 @@ func NewAnswer(classes [][]int) Answer {
 }
 
 // Singleton returns the trivial answer for the single element e.
+//
+//ecsort:ignore deadexport merge-layer entry point pinned by answer_test
 func Singleton(e int) Answer {
 	return Answer{elems: []int{e}, offs: singletonOffs}
 }
@@ -67,6 +71,8 @@ func Singleton(e int) Answer {
 // element 0..n-1 (step 1 of the Theorem 1 algorithm). All answers are
 // views into one shared backing array, so setup is two allocations
 // instead of 2n.
+//
+//ecsort:ignore deadexport merge-layer entry point pinned by answer_test
 func Singletons(n int) []Answer {
 	pool := make([]int, n)
 	answers := make([]Answer, n)
@@ -189,6 +195,8 @@ func appendMatched(a, b Answer, matchOf []int32, matchedB []bool, elems, offs []
 // rounds per merge). For round-sharing across independent merges at the
 // same level of a merge tree — with all plan scratch pooled in a
 // reusable arena — see SortER.
+//
+//ecsort:ignore deadexport merge-layer entry point pinned by answer_test
 func MergePairER(s *model.Session, a, b Answer) (Answer, error) {
 	if a.K() > b.K() {
 		a, b = b, a

@@ -238,6 +238,8 @@ func mergeGroupScratch(s *model.Session, sc *mergeScratch, group []Answer) (Answ
 // MergePairCR merges two answers in the CR model with one logical round of
 // K(a)·K(b) concurrent representative tests. The session splits the round
 // if it exceeds the processor budget.
+//
+//ecsort:ignore deadexport merge-layer entry point pinned by answer_test
 func MergePairCR(s *model.Session, a, b Answer) (Answer, error) {
 	if s.Mode() != model.CR {
 		return Answer{}, fmt.Errorf("core: MergePairCR requires a CR session, got %v", s.Mode())
@@ -252,6 +254,8 @@ func MergePairCR(s *model.Session, a, b Answer) (Answer, error) {
 // logical round containing every cross-answer representative test — the
 // compounding step of phase 2 of the Theorem 1 algorithm. Matching classes
 // are united transitively.
+//
+//ecsort:ignore deadexport merge-layer entry point pinned by alloc_test, answer_test and BenchmarkMergeGroup
 func MergeGroupCR(s *model.Session, group []Answer) (Answer, error) {
 	switch len(group) {
 	case 0:

@@ -86,40 +86,3 @@ func roundRobinStep(s *model.Session, g *knowledge.Graph, ptr []int, x int) bool
 	}
 	return false
 }
-
-// CrossClassAudit runs the round-robin regimen against a truth labeling
-// and returns, for every unordered pair of true classes (i, j), the number
-// of tests performed between them. Tests use the same session; the audit
-// exists so tests can check the 2·min(Y_i, Y_j) lemma that Theorem 7's
-// stochastic-dominance argument rests on.
-func CrossClassAudit(s *model.Session, truth []int) (Result, map[[2]int]int, error) {
-	audit := make(map[[2]int]int)
-	counting := &auditOracle{inner: s, truth: truth, audit: audit}
-	res, err := RoundRobin(model.NewSession(counting, s.Mode(), model.Workers(1)))
-	if err != nil {
-		return Result{}, nil, err
-	}
-	// Replace stats with the inner session's (the outer session double
-	// counts nothing: counting forwards to s.Compare which accounts).
-	res.Stats = s.Stats()
-	return res, audit, nil
-}
-
-// auditOracle forwards comparisons to an underlying session while tallying
-// them per true-class pair.
-type auditOracle struct {
-	inner *model.Session
-	truth []int
-	audit map[[2]int]int
-}
-
-func (a *auditOracle) N() int { return len(a.truth) }
-
-func (a *auditOracle) Same(i, j int) bool {
-	ci, cj := a.truth[i], a.truth[j]
-	if ci > cj {
-		ci, cj = cj, ci
-	}
-	a.audit[[2]int{ci, cj}]++
-	return a.inner.Compare(i, j)
-}

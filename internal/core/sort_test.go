@@ -238,7 +238,7 @@ func TestRoundRobinLemma(t *testing.T) {
 			sizes[l]++
 		}
 		inner := model.NewSession(truth, model.ER, model.Workers(1))
-		res, audit, err := CrossClassAudit(inner, labels)
+		res, audit, err := crossClassAudit(inner, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,6 +254,43 @@ func TestRoundRobinLemma(t *testing.T) {
 			}
 		}
 	}
+}
+
+// crossClassAudit runs the round-robin regimen against a truth labeling
+// and returns, for every unordered pair of true classes (i, j), the number
+// of tests performed between them. Tests use the same session; the audit
+// lets TestRoundRobinLemma check the 2·min(Y_i, Y_j) lemma that Theorem
+// 7's stochastic-dominance argument rests on.
+func crossClassAudit(s *model.Session, truth []int) (Result, map[[2]int]int, error) {
+	audit := make(map[[2]int]int)
+	counting := &auditOracle{inner: s, truth: truth, audit: audit}
+	res, err := RoundRobin(model.NewSession(counting, s.Mode(), model.Workers(1)))
+	if err != nil {
+		return Result{}, nil, err
+	}
+	// Replace stats with the inner session's (the outer session double
+	// counts nothing: counting forwards to s.Compare which accounts).
+	res.Stats = s.Stats()
+	return res, audit, nil
+}
+
+// auditOracle forwards comparisons to an underlying session while tallying
+// them per true-class pair.
+type auditOracle struct {
+	inner *model.Session
+	truth []int
+	audit map[[2]int]int
+}
+
+func (a *auditOracle) N() int { return len(a.truth) }
+
+func (a *auditOracle) Same(i, j int) bool {
+	ci, cj := a.truth[i], a.truth[j]
+	if ci > cj {
+		ci, cj = cj, ci
+	}
+	a.audit[[2]int{ci, cj}]++
+	return a.inner.Compare(i, j)
 }
 
 // TestRoundRobinComparisonsReasonable: for balanced classes the regimen

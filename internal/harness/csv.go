@@ -37,29 +37,6 @@ func WriteFig5CSV(w io.Writer, panel Fig5Panel) error {
 	return cw.Error()
 }
 
-// WriteRoundsCSV writes a rounds sweep as rows of
-// (algorithm, n, k, rounds, comparisons).
-func WriteRoundsCSV(w io.Writer, series RoundsSeries) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"algorithm", "n", "k", "rounds", "comparisons"}); err != nil {
-		return err
-	}
-	for _, p := range series.Points {
-		rec := []string{
-			series.Algorithm,
-			strconv.Itoa(p.N),
-			strconv.Itoa(p.K),
-			strconv.Itoa(p.Rounds),
-			strconv.FormatInt(p.Comparisons, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteLBCSV writes a lower-bound sweep as rows of
 // (kind, n, param, comparisons, normalized_new, normalized_old).
 func WriteLBCSV(w io.Writer, series LBSeries) error {

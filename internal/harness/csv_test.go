@@ -45,24 +45,6 @@ func TestWriteFig5CSV(t *testing.T) {
 	}
 }
 
-func TestWriteRoundsCSV(t *testing.T) {
-	series, err := RunRoundsCR(4, []int{64, 128}, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteRoundsCSV(&buf, series); err != nil {
-		t.Fatal(err)
-	}
-	records := parseCSV(t, &buf)
-	if len(records) != 3 {
-		t.Fatalf("rows = %d", len(records))
-	}
-	if records[1][0] != "SortCR" {
-		t.Fatalf("algorithm field = %q", records[1][0])
-	}
-}
-
 func TestWriteLBCSV(t *testing.T) {
 	series, err := RunAdversaryEqual(48, []int{2, 4})
 	if err != nil {

@@ -23,12 +23,6 @@ type ServiceSweepPoint struct {
 	Report service.StressReport
 }
 
-// RunServiceStress drives one workload configuration and returns its
-// report.
-func RunServiceStress(cfg service.StressConfig) (service.StressReport, error) {
-	return service.RunStress(cfg)
-}
-
 // RunServiceSweep runs the same workload across several shard counts.
 func RunServiceSweep(shardCounts []int, cfg service.StressConfig) ([]ServiceSweepPoint, error) {
 	points := make([]ServiceSweepPoint, 0, len(shardCounts))

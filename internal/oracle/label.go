@@ -114,6 +114,8 @@ func RandomBalanced(n, k int, rng *rand.Rand) *Label {
 
 // RandomSizes returns a label oracle whose class c has exactly sizes[c]
 // members, positions shuffled by rng.
+//
+//ecsort:ignore deadexport fixed-class-size input fixture shared by the core, majority and oracle tests
 func RandomSizes(sizes []int, rng *rand.Rand) *Label {
 	n := 0
 	for c, s := range sizes {

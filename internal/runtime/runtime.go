@@ -189,6 +189,8 @@ func (p *Pool) Run(n, par int, r Runner) {
 // chunk-granularity contract batch-capable oracles amortize against:
 // a model.BatchOracle is invoked NumChunks(len(pairs), workers) times
 // per physical round instead of len(pairs) times.
+//
+//ecsort:ignore deadexport reference chunk count that the model batch tests and benchmarks check oracle invocations against
 func NumChunks(n, par int) int {
 	if n <= 0 {
 		return 0

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -42,76 +42,6 @@ func coverage(t *testing.T, rounds [][]model.Pair) map[[2]int]bool {
 		}
 	}
 	return seen
-}
-
-func TestRotationCoversAllCrossPairs(t *testing.T) {
-	a := []int{0, 1, 2}
-	b := []int{10, 11, 12, 13, 14}
-	rounds := Rotation(a, b)
-	if len(rounds) != 5 {
-		t.Fatalf("rounds = %d, want max(3,5) = 5", len(rounds))
-	}
-	checkDisjoint(t, rounds)
-	seen := coverage(t, rounds)
-	if len(seen) != len(a)*len(b) {
-		t.Fatalf("covered %d pairs, want %d", len(seen), len(a)*len(b))
-	}
-	for _, x := range a {
-		for _, y := range b {
-			if !seen[[2]int{x, y}] {
-				t.Fatalf("pair (%d,%d) missing", x, y)
-			}
-		}
-	}
-}
-
-func TestRotationEmptySides(t *testing.T) {
-	if Rotation(nil, []int{1}) != nil {
-		t.Error("Rotation with empty side should be nil")
-	}
-	if Rotation([]int{1}, nil) != nil {
-		t.Error("Rotation with empty side should be nil")
-	}
-}
-
-func TestRotationQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ka, kb := 1+rng.Intn(12), 1+rng.Intn(12)
-		a := make([]int, ka)
-		b := make([]int, kb)
-		for i := range a {
-			a[i] = i
-		}
-		for i := range b {
-			b[i] = 100 + i
-		}
-		rounds := Rotation(a, b)
-		if len(rounds) != max(ka, kb) {
-			return false
-		}
-		// Disjointness within rounds and exact coverage.
-		seen := map[[2]int]bool{}
-		for _, round := range rounds {
-			used := map[int]bool{}
-			for _, p := range round {
-				if used[p.A] || used[p.B] {
-					return false
-				}
-				used[p.A] = true
-				used[p.B] = true
-				key := [2]int{min(p.A, p.B), max(p.A, p.B)}
-				if seen[key] {
-					return false
-				}
-				seen[key] = true
-			}
-		}
-		return len(seen) == ka*kb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAllPairsSmall(t *testing.T) {
@@ -225,5 +155,47 @@ func TestSweepRoundCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllPairsFullRounds pins the circle method's exact shape, which
+// TestAllPairsSmall only bounds: m−1 rounds for even m and m for odd m,
+// every round carrying ⌊m/2⌋ disjoint pairs.
+func TestAllPairsFullRounds(t *testing.T) {
+	for m := 2; m <= 33; m++ {
+		elems := make([]int, m)
+		for i := range elems {
+			elems[i] = i
+		}
+		rounds := AllPairs(elems)
+		wantRounds := m - 1
+		if m%2 == 1 {
+			wantRounds = m
+		}
+		if len(rounds) != wantRounds {
+			t.Fatalf("m=%d: %d rounds, want %d", m, len(rounds), wantRounds)
+		}
+		for r, round := range rounds {
+			if len(round) != m/2 {
+				t.Fatalf("m=%d round %d: %d pairs, want %d", m, r, len(round), m/2)
+			}
+		}
+	}
+}
+
+// TestAllPairsOrientedDeterministic: every pair lists its smaller
+// element first, and the schedule depends only on the input.
+func TestAllPairsOrientedDeterministic(t *testing.T) {
+	elems := []int{40, 3, 17, 8, 25, 11, 2}
+	first, second := AllPairs(elems), AllPairs(elems)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("AllPairs is not deterministic")
+	}
+	for _, round := range first {
+		for _, p := range round {
+			if p.A >= p.B {
+				t.Fatalf("pair %v is not oriented smaller-first", p)
+			}
+		}
 	}
 }

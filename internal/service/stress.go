@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -295,48 +294,4 @@ func RunStress(cfg StressConfig) (StressReport, error) {
 		rep.BatchesPerSec = float64(rep.Batches) / secs
 	}
 	return rep, nil
-}
-
-// WriteStressReport renders rep as an aligned text block for the
-// experiments CLI.
-func WriteStressReport(w io.Writer, rep StressReport) error {
-	cfg := rep.Config
-	_, err := fmt.Fprintf(w, `service ingestion stress
-  workload:    %d collections × %d elements (%d classes), batch %d, %d writers, %d shards
-  elapsed:     %v
-  ingested:    %d elements in %d batches (%d flushes)
-  throughput:  %.0f elements/s, %.0f batches/s
-  model cost:  %d comparisons in %d rounds
-  verified:    %v
-`,
-		cfg.Collections, cfg.Elements, cfg.Classes, cfg.Batch, cfg.Writers, cfg.Service.shards(),
-		rep.Elapsed.Round(time.Millisecond),
-		rep.Elements, rep.Batches, rep.Flushes,
-		rep.ElementsPerSec, rep.BatchesPerSec,
-		rep.Comparisons, rep.Rounds,
-		rep.Verified)
-	if err != nil {
-		return err
-	}
-	if rep.BatchRounds > 0 {
-		_, err = fmt.Fprintf(w, "  batch:       %d whole-chunk invocations carried %d tests (%.1f pairs/invocation)\n",
-			rep.BatchRounds, rep.BatchPairs, float64(rep.BatchPairs)/float64(rep.BatchRounds))
-		if err != nil {
-			return err
-		}
-	}
-	if cfg.Faults != nil || rep.Deletes > 0 || rep.Invalidates > 0 {
-		var faults string
-		if cfg.Faults != nil {
-			faults = fmt.Sprintf("fail %.2f, flip %.2f", cfg.Faults.FailRate, cfg.Faults.FlipRate)
-		} else {
-			faults = "none"
-		}
-		_, err = fmt.Fprintf(w, `  chaos:       faults %s; %d deletes, %d invalidates
-  repair:      %d sweeps to converge, %d divergences, %d corrections
-`,
-			faults, rep.Deletes, rep.Invalidates,
-			rep.RepairSweepsRun, rep.Divergences, rep.Corrections)
-	}
-	return err
 }

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// TestSortV2AgreesWithV1: the Algorithm path must produce the same
-// partitions and stats as the deprecated wrappers (which now delegate
-// to it), and record the regimen name.
+// TestSortV2AgreesWithV1: every deterministic regimen run through Sort
+// must produce the true partition, certify, and record its registry
+// name.
 func TestSortV2AgreesWithV1(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	labels := SampleLabels(NewUniform(5), 300, rng)
