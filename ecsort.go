@@ -217,12 +217,18 @@ type Recorder = model.Recorder
 func NewRecorder(o Oracle) *Recorder { return model.NewRecorder(o) }
 
 // Incremental maintains a complete classification while elements arrive
-// over time, folding buffered arrivals in with single compounding rounds
-// (the online counterpart of CR).
+// over time (the online counterpart of CR). Each fold tests the buffered
+// arrivals against one representative per existing class, then merges
+// only the arrivals that matched nothing as a CR group.
 type Incremental = core.Incremental
 
 // NewIncremental creates an incremental sorter over the oracle's
-// universe; elements are classified as they are Added.
+// universe; elements are classified as they are Added. Since the
+// representative-first fold, a flush of p arrivals over k classes costs
+// p·k tests plus the pairs among arrivals of new classes, where it used
+// to test every pending pair: Stats report far fewer comparisons and
+// rounds for the same classes, and Snapshot lists existing classes
+// first, in their previous order.
 func NewIncremental(o Oracle, cfg Config) (*Incremental, error) {
 	return core.NewIncremental(NewSession(o, ModeCR, cfg))
 }

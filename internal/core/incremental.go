@@ -8,17 +8,22 @@ import (
 
 // Incremental maintains a complete equivalence class sorting answer while
 // elements arrive over time — the online counterpart of the batch sorts,
-// built from the same Answer merge calculus. New elements join as
-// singleton answers and are folded in with the compounding technique:
-// each insert buffers the element, and Flush (or any query) merges all
-// buffered singletons into the main answer with one CR group round.
+// built from the same Answer merge calculus. Each insert buffers the
+// element, and Flush (or any query) folds the buffer into the answer in
+// two logical rounds: every pending element is first tested against one
+// representative of each existing class, and only the elements that
+// matched none then merge among themselves as a CR group of singletons.
+// Under the paper's label distributions nearly every arrival belongs to
+// a class the answer already holds, so a fold costs about p·k tests for
+// p pending elements over k classes instead of the p(p−1)/2 pending
+// pairs a single group round would test.
 //
 // This is the library feature the paper's applications want in steady
 // state: a convention where interns keep arriving, a fleet where machines
 // come online one by one. Flush is the service's hottest path, so the
 // sorter is built for allocation-free steady state: pending elements live
-// in one flat buffer viewed as zero-alloc singleton answers, merge
-// scratch persists in an arena, and the answer's flat storage
+// in one flat buffer viewed as zero-alloc singleton answers, merge and
+// match scratch persist in the sorter, and the answer's flat storage
 // double-buffers with a spare so each flush is two memmove-style passes.
 type Incremental struct {
 	session *model.Session
@@ -33,10 +38,18 @@ type Incremental struct {
 	bufOffs  [2][]int
 	cur      int
 	pending  []int    // buffered elements awaiting the next flush
-	group    []Answer // reusable group view: pending singletons + answer
-	seen     []bool   // seen[e] reports e was added (universe is fixed)
-	added    int
-	flushes  int
+	group    []Answer // reusable group view: the singletons a flush merges
+	// match[i] is the existing class pending[i] joined in the
+	// representative round, or -1; cursor holds per-class match counts,
+	// then write positions, while the new answer is laid out.
+	match  []int
+	cursor []int
+	seen   []bool // seen[e] reports e was added (universe is fixed)
+	added  int
+	// groupFold selects the one-round group fold of
+	// NewIncrementalGroupFold in place of the representative-first fold.
+	groupFold bool
+	flushes   int
 }
 
 // NewIncremental creates an incremental sorter over the session's
@@ -48,6 +61,22 @@ func NewIncremental(s *model.Session) (*Incremental, error) {
 		return nil, fmt.Errorf("core: Incremental requires a CR session, got %v", s.Mode())
 	}
 	return &Incremental{session: s, seen: make([]bool, s.N())}, nil
+}
+
+// NewIncrementalGroupFold creates an incremental sorter that folds with
+// the original one-round group fold: the pending singletons and the
+// answer merge as one CR group, testing every pending pair. It reaches
+// the same partitions as NewIncremental at a higher cost, with classes
+// in a different order. It exists so durable logs recorded under that
+// fold replay to bit-identical classes and stats; new collections use
+// NewIncremental.
+func NewIncrementalGroupFold(s *model.Session) (*Incremental, error) {
+	inc, err := NewIncremental(s)
+	if err != nil {
+		return nil, err
+	}
+	inc.groupFold = true
+	return inc, nil
 }
 
 // Add buffers element e for classification. It returns an error if e is
@@ -65,18 +94,149 @@ func (inc *Incremental) Add(e int) error {
 	return nil
 }
 
-// Flush folds all buffered elements into the answer. Buffered singletons
-// and the current answer merge as one CR group — a single logical round
-// of at most (|pending| + k)² representative tests. In steady state a
-// flush allocates nothing: the group is a view over the pending buffer,
-// the cross tests stream through the arena, and the merged answer is
-// written into the spare backing, which then swaps with the current one.
+// Flush folds all buffered elements into the answer in two logical
+// rounds. Round A tests each pending element against one representative
+// of each of the k existing classes (p·k tests); an element matches at
+// most one class, because classes are mutually unequal. Round B merges
+// the u elements that matched nothing as a CR group of singletons
+// (u(u−1)/2 tests). In the new answer the existing classes keep their
+// order and representatives, each followed by its matched members in
+// arrival order; the classes round B found follow, ordered by their
+// first pending member.
+//
+// A failed or canceled fold publishes nothing and leaves the pending
+// buffer intact for a retry. In steady state a flush allocates nothing:
+// the tests stream through the arena, the match bookkeeping reuses the
+// sorter's scratch, and the new answer is written into the spare
+// backing, which then swaps with the current one.
 //
 //ecsort:hotpath
 func (inc *Incremental) Flush() error {
 	if len(inc.pending) == 0 {
 		return nil
 	}
+	if inc.groupFold {
+		return inc.flushGroup()
+	}
+	sc := &inc.sc
+	k := inc.answer.K()
+	match := growInts(inc.match[:0], len(inc.pending))
+	inc.match = match
+	for i := range match {
+		match[i] = -1
+	}
+	if k > 0 {
+		sc.pairs = appendRepTests(sc.pairs[:0], inc.pending, inc.answer)
+		res, err := sc.round(inc.session)
+		if err != nil {
+			return err
+		}
+		// A context canceled during the final physical round slips past
+		// the per-round check inside the session; re-check after each
+		// logical round so an aborted fold never builds on a poisoned
+		// one.
+		if err := inc.session.Err(); err != nil {
+			return err
+		}
+		// A faulty oracle may report several matches; the first wins,
+		// and repair re-verifies what it got wrong.
+		for i := range match {
+			for j, eq := range res[i*k : (i+1)*k] {
+				if eq {
+					match[i] = j
+					break
+				}
+			}
+		}
+	}
+	group := inc.group[:0]
+	for i, m := range match {
+		if m < 0 {
+			group = append(group, Answer{elems: inc.pending[i : i+1 : i+1], offs: singletonOffs})
+		}
+	}
+	inc.group = group
+	if len(group) > 1 {
+		if err := sc.streamGroup(inc.session, group); err != nil {
+			return err
+		}
+		if err := inc.session.Err(); err != nil {
+			return err
+		}
+	}
+
+	// Lay out the existing classes, each grown by its matched members.
+	cursor := growInts(inc.cursor[:0], k)
+	inc.cursor = cursor
+	clear(cursor)
+	matched := 0
+	for _, m := range match {
+		if m >= 0 {
+			cursor[m]++
+			matched++
+		}
+	}
+	dst := 1 - inc.cur
+	elems := growInts(inc.bufElems[dst][:0], inc.answer.Size()+matched)
+	offs := append(inc.bufOffs[dst][:0], 0)
+	for j := 0; j < k; j++ {
+		cls := inc.answer.Class(j)
+		copy(elems[offs[j]:], cls)
+		n := cursor[j]
+		cursor[j] = offs[j] + len(cls)
+		offs = append(offs, cursor[j]+n)
+	}
+	for i, m := range match {
+		if m >= 0 {
+			elems[cursor[m]] = inc.pending[i]
+			cursor[m]++
+		}
+	}
+	// Then the classes round B found.
+	switch len(group) {
+	case 0:
+	case 1:
+		elems = append(elems, group[0].elems[0])
+		offs = append(offs, len(elems))
+	default:
+		base := len(elems)
+		// buildMerged appends base as the first offset of its answer
+		// (restoring offs[k]) and rebases its offsets to that answer's own
+		// view; shift them back into the whole answer's frame.
+		_, elems, offs = sc.buildMerged(group, elems, offs[:k])
+		for i := k; i < len(offs); i++ {
+			offs[i] += base
+		}
+	}
+	inc.commit(dst, elems, offs, Answer{
+		elems: elems[:len(elems):len(elems)],
+		offs:  offs[:len(offs):len(offs)],
+	})
+	return nil
+}
+
+// appendRepTests appends round A of a fold to dst: each pending element,
+// in arrival order, against the representative of each class of a.
+//
+//ecsort:hotpath
+func appendRepTests(dst []model.Pair, pending []int, a Answer) []model.Pair {
+	k := a.K()
+	for _, x := range pending {
+		for j := 0; j < k; j++ {
+			dst = append(dst, model.Pair{A: x, B: a.Rep(j)})
+		}
+	}
+	return dst
+}
+
+// flushGroup is the fold of NewIncrementalGroupFold: buffered singletons
+// and the current answer merge as one CR group — a single logical round
+// of every cross test, (|pending| + k)² at most. Classes come out ordered
+// by their first slot: pending singletons in arrival order, then the
+// answer's classes.
+//
+//ecsort:hotpath
+func (inc *Incremental) flushGroup() error {
 	group := inc.group[:0]
 	for i := range inc.pending {
 		group = append(group, Answer{elems: inc.pending[i : i+1 : i+1], offs: singletonOffs})
@@ -89,24 +249,29 @@ func (inc *Incremental) Flush() error {
 	if err := sc.streamGroup(inc.session, group); err != nil {
 		return err
 	}
-	// A context canceled during the final physical round slips past the
-	// per-round check inside the session; re-check before committing so
-	// an aborted fold never publishes a merge built from a poisoned
-	// round. The pending buffer stays intact for the retry.
+	// See Flush: re-check before committing a merge built from a round
+	// the context may have poisoned.
 	if err := inc.session.Err(); err != nil {
 		return err
 	}
 	dst := 1 - inc.cur
 	merged, elems, offs := sc.buildMerged(group, inc.bufElems[dst][:0], inc.bufOffs[dst][:0])
-	// Retain the (possibly grown) pools and flip buffers: the old
-	// answer's pool becomes the next flush's build target.
+	inc.commit(dst, elems, offs, merged)
+	return nil
+}
+
+// commit publishes a fold built into pool dst: it retains the (possibly
+// grown) pool slices, flips the double buffer so the old answer's pool
+// becomes the next build target, and empties the pending buffer.
+//
+//ecsort:hotpath
+func (inc *Incremental) commit(dst int, elems, offs []int, answer Answer) {
 	inc.bufElems[dst], inc.bufOffs[dst] = elems, offs
 	inc.cur = dst
-	inc.answer = merged
+	inc.answer = answer
 	inc.pending = inc.pending[:0]
-	inc.group = group[:0]
+	inc.group = inc.group[:0]
 	inc.flushes++
-	return nil
 }
 
 // Classes returns the current classes over everything added so far,
@@ -156,7 +321,7 @@ func (inc *Incremental) Has(e int) bool {
 func (inc *Incremental) Pending() int { return len(inc.pending) }
 
 // Flushes returns how many non-empty flushes have folded batches into
-// the answer — the number of compounding CR group rounds spent so far.
+// the answer.
 func (inc *Incremental) Flushes() int { return inc.flushes }
 
 // Snapshot returns a copy of the classes merged so far, excluding pending

@@ -112,3 +112,24 @@ func TestParallelGoldenDeterminism(t *testing.T) {
 		checkGolden(t, fmt.Sprintf("SortER workers=%d", workers), goldenER, resER)
 	}
 }
+
+// TestParallelGoldenIncremental pins the representative-first fold's
+// goldens at Workers(1) and Workers(4): both of its logical rounds write
+// results by index, so the match and the round-B merge cannot depend on
+// scheduling.
+func TestParallelGoldenIncremental(t *testing.T) {
+	pool := rt.NewPool(4)
+	defer pool.Close()
+	for _, fc := range foldCases {
+		g := goldenByName(t, fc.name)
+		labels := fc.labels()
+		for _, workers := range []int{1, 4} {
+			s := model.NewSession(oracle.NewLabel(labels), model.CR, model.Workers(workers), model.WithPool(pool))
+			res, err := runIncremental(NewIncremental, s, 256)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", fc.name, workers, err)
+			}
+			checkGolden(t, fmt.Sprintf("%s workers=%d", fc.name, workers), g, res)
+		}
+	}
+}

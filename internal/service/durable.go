@@ -27,14 +27,17 @@ import (
 )
 
 // engine bundles what buildSorter assembles for one collection: the
-// classification engine, the regimen name, the effective oracle the
-// engine tests against (the resilience middleware when configured, the
-// bare spec oracle otherwise), and the middleware handle itself (nil
-// for plain collections) — the breaker the service consults for
-// degraded-mode gating.
+// classification engine, the regimen name, the incremental fold it was
+// built with (wal.FoldGroup or wal.FoldRepFirst; batch regimens carry
+// it unused), the effective oracle the engine tests against (the
+// resilience middleware when configured, the bare spec oracle
+// otherwise), and the middleware handle itself (nil for plain
+// collections) — the breaker the service consults for degraded-mode
+// gating.
 type engine struct {
 	srt      sorter
 	algoName string
+	fold     byte
 	orc      model.Oracle
 	res      *oracle.Resilient
 }
@@ -42,11 +45,15 @@ type engine struct {
 // buildSorter constructs the classification stack a spec asks for: the
 // ground-truth oracle, optionally wrapped in fault injection
 // (spec.Faults) and the resilience middleware (any Faults or Resilience
-// setting), feeding the incremental compounding engine by default or a
-// batch regimen from the registry. Spec errors surface here — at create
-// time and again on recovery, where a checkpointed spec that no longer
-// validates must fail the boot rather than silently drop a collection.
-func (s *Service) buildSorter(spec OracleSpec) (engine, error) {
+// setting), feeding the incremental engine by default or a
+// batch regimen from the registry. fold selects the incremental
+// engine's fold: live creates pass wal.FoldRepFirst, recovery passes the
+// fold the collection was created with, so collections from older data
+// directories keep folding — and replaying — exactly as they did. Spec
+// errors surface here — at create time and again on recovery, where a
+// checkpointed spec that no longer validates must fail the boot rather
+// than silently drop a collection.
+func (s *Service) buildSorter(spec OracleSpec, fold byte) (engine, error) {
 	base, err := spec.Build()
 	if err != nil {
 		return engine{}, err
@@ -61,7 +68,7 @@ func (s *Service) buildSorter(spec OracleSpec) (engine, error) {
 		// sibling of Network.Bound — instead of one handshake per Same.
 		base = nw.Batch(s.pool)
 	}
-	eng := engine{algoName: algoName, orc: base}
+	eng := engine{algoName: algoName, fold: fold, orc: base}
 	if spec.Faults != nil || spec.Resilience != nil {
 		// A faulted oracle is always fronted by the middleware: raw
 		// injected errors must never reach a session, whose oracle
@@ -96,7 +103,11 @@ func (s *Service) buildSorter(spec OracleSpec) (engine, error) {
 		opts = append(opts, model.Processors(s.cfg.Processors))
 	}
 	if alg == nil {
-		inc, err := core.NewIncremental(model.NewSession(eng.orc, model.CR, opts...))
+		newInc := core.NewIncremental
+		if fold == wal.FoldGroup {
+			newInc = core.NewIncrementalGroupFold
+		}
+		inc, err := newInc(model.NewSession(eng.orc, model.CR, opts...))
 		if err != nil {
 			return engine{}, err
 		}
@@ -245,11 +256,20 @@ func (s *Service) recoverShard(sh *shard) error {
 		openGen = sum.LastGen
 	}
 	var l *wal.Log
-	if sum.Segments == 0 {
+	switch {
+	case sum.Segments == 0:
 		// Fresh directory, or a crash after the checkpoint was published
 		// but before its new segment was created.
 		l, err = wal.Create(sh.dir, openGen, s.walOptions())
-	} else {
+	case sum.LastVersion < wal.FormatVersion:
+		// The newest segment was written by an older build. Replay reads
+		// each record under its segment's version (a create's fold), so
+		// this build's records must not land in it: start the next
+		// generation. Replay visits both, in order, until a checkpoint
+		// supersedes them.
+		openGen++
+		l, err = wal.Create(sh.dir, openGen, s.walOptions())
+	default:
 		l, err = wal.OpenAppend(sh.dir, openGen, s.walOptions())
 	}
 	if err != nil {
@@ -263,9 +283,9 @@ func (s *Service) recoverShard(sh *shard) error {
 }
 
 // restoreCollection rebuilds one collection from its checkpointed state:
-// spec → oracle + engine through the same validation as a live create,
-// then Restore hands the engine its flat answer, pending tail, and cost
-// so it continues bit-identically.
+// spec and fold → oracle + engine through the same validation as a live
+// create, then Restore hands the engine its flat answer, pending tail,
+// and cost so it continues bit-identically.
 //
 //ecsort:shard-goroutine
 func (s *Service) restoreCollection(sh *shard, cs *wal.CollectionState) error {
@@ -273,7 +293,7 @@ func (s *Service) restoreCollection(sh *shard, cs *wal.CollectionState) error {
 	if err := json.Unmarshal(cs.Spec, &spec); err != nil {
 		return fmt.Errorf("%w: collection %q: undecodable spec: %v", wal.ErrCorrupt, cs.Key, err)
 	}
-	eng, err := s.buildSorter(spec)
+	eng, err := s.buildSorter(spec, cs.Fold)
 	if err != nil {
 		return fmt.Errorf("collection %q: %w", cs.Key, err)
 	}
@@ -313,7 +333,7 @@ func (s *Service) applyRecord(sh *shard, rec wal.Record) error {
 		if _, taken := sh.cols[rec.Key]; taken {
 			return fmt.Errorf("create %q: collection already exists", rec.Key)
 		}
-		eng, err := s.buildSorter(spec)
+		eng, err := s.buildSorter(spec, wal.FoldOf(rec.Version))
 		if err != nil {
 			return fmt.Errorf("create %q: %w", rec.Key, err)
 		}
@@ -439,6 +459,7 @@ func (c *collection) durableState() (wal.CollectionState, error) {
 	return wal.CollectionState{
 		Key:          c.key,
 		Spec:         specJSON,
+		Fold:         c.fold,
 		Members:      c.srt.Members(),
 		Pending:      c.srt.PendingSlice(),
 		Elems:        elems,

@@ -240,6 +240,7 @@ type collection struct {
 	key      string
 	spec     OracleSpec
 	algoName string
+	fold     byte   // engine fold, persisted in checkpoints (see buildSorter)
 	srt      sorter //ecsort:owned-by-shard
 	// orc is the effective oracle the collection's folds test against —
 	// the resilience middleware when the spec configures faults or
@@ -267,7 +268,7 @@ type collection struct {
 //
 //ecsort:shard-goroutine
 func newCollection(key string, spec OracleSpec, eng engine) *collection {
-	return &collection{key: key, spec: spec, algoName: eng.algoName, srt: eng.srt, orc: eng.orc, res: eng.res}
+	return &collection{key: key, spec: spec, algoName: eng.algoName, fold: eng.fold, srt: eng.srt, orc: eng.orc, res: eng.res}
 }
 
 // degraded reports whether the collection currently refuses writes —
@@ -810,7 +811,7 @@ func (s *Service) CreateCollection(key string, spec OracleSpec) error {
 	if key == "" {
 		return fmt.Errorf("%w: empty collection key", ErrBadSpec)
 	}
-	eng, err := s.buildSorter(spec)
+	eng, err := s.buildSorter(spec, wal.FoldRepFirst)
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,10 @@
 // long-running classification service: named collections, each owning a
 // core.Incremental session over a pluggable oracle, sharded across
 // independent single-writer goroutines so ingestion for different
-// collections never contends. Batched inserts are folded with one
-// compounding CR group round per flush, and answers are served from
-// copy-on-flush snapshots so reads never block writes.
+// collections never contends. Each flush folds the batched inserts in
+// two logical rounds — pending elements against one representative per
+// existing class, then the unmatched among themselves — and answers are
+// served from copy-on-flush snapshots so reads never block writes.
 //
 // The HTTP layer in this package (Handler) is a thin JSON mapping over
 // the Go API (CreateCollection / Ingest / Classes / CollectionStats);
@@ -65,7 +66,11 @@ type GraphSpec struct {
 }
 
 // AlgorithmIncremental is the default collection regimen: the online
-// incremental sorter folding each batch with one compounding CR round.
+// incremental sorter, folding each batch by matching it against the
+// existing classes' representatives and merging only the unmatched
+// elements as a CR group. Collections recovered from a pre-v4 data
+// directory keep the single group round they were created with (see
+// docs/PERSISTENCE.md, "Versioning").
 const AlgorithmIncremental = "incremental"
 
 // OracleSpec declares the ground-truth oracle behind a collection. Kind

@@ -23,6 +23,10 @@ type Record struct {
 	// Elem is the element a RecDelete removes, or a member element of the
 	// class a RecInvalidate withdraws.
 	Elem int
+	// Version is the format version in the header of the segment the
+	// record was read from. A record's meaning may depend on it: a
+	// RecCreate creates a collection with fold FoldOf(Version).
+	Version uint16
 }
 
 // ReplaySummary reports what a Replay pass found.
@@ -34,6 +38,10 @@ type ReplaySummary struct {
 	// LastGen is the highest segment generation seen; 0 when no segment
 	// exists at or above the requested floor.
 	LastGen uint64
+	// LastVersion is the header format version of segment LastGen. A
+	// writer must not append to a segment of an older version: replay
+	// would read the appended records under that version's meaning.
+	LastVersion uint16
 	// TornTail reports that the final segment ended mid-frame (the
 	// signature of a crash during an append) and was truncated back to
 	// its last complete record.
@@ -101,6 +109,8 @@ func replaySegment(seg Segment, tolerateTorn bool, sum *ReplaySummary, fn func(R
 	if g := binary.LittleEndian.Uint64(hdr[8:16]); g != seg.Gen {
 		return fmt.Errorf("%w: %s: header generation %d, file name says %d", ErrCorrupt, seg.Path, g, seg.Gen)
 	}
+	version := binary.LittleEndian.Uint16(hdr[4:6])
+	sum.LastVersion = version
 
 	offset := int64(headerSize)
 	var frame [frameOverhead]byte
@@ -145,6 +155,7 @@ func replaySegment(seg Segment, tolerateTorn bool, sum *ReplaySummary, fn func(R
 		if err != nil {
 			return fmt.Errorf("%w: %s: record %d at offset %d: %v", ErrCorrupt, seg.Path, sum.Records, offset, err)
 		}
+		rec.Version = version
 		if err := fn(rec); err != nil {
 			return fmt.Errorf("wal: %s: applying record %d at offset %d: %w", seg.Path, sum.Records, offset, err)
 		}
@@ -169,6 +180,7 @@ func truncateTorn(f *os.File, seg Segment, offset int64, sum *ReplaySummary) err
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			return fmt.Errorf("wal: rewrite torn segment header: %w", err)
 		}
+		sum.LastVersion = FormatVersion
 		offset = headerSize
 	} else if err := f.Truncate(offset); err != nil {
 		return fmt.Errorf("wal: truncate torn segment: %w", err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -27,6 +26,9 @@ type CollectionState struct {
 	// OracleSpec JSON), replayed through the same validation as a live
 	// create.
 	Spec []byte
+	// Fold is the collection's fold policy (FoldGroup or FoldRepFirst).
+	// Checkpoints before v4 carry no fold byte and decode as FoldGroup.
+	Fold byte
 	// Members is the full arrival-order ingest history, for engines that
 	// re-sort their whole sub-universe per fold (batch regimens). Engines
 	// that fold incrementally leave it nil — their flushed state is fully
@@ -66,18 +68,8 @@ type Checkpoint struct {
 // at any point leaves either the old checkpoint or the new one, never a
 // torn mix.
 func WriteCheckpoint(dir string, cp *Checkpoint) error {
-	payload := encodeCheckpoint(cp)
-	var buf []byte
-	var hdr [headerSize]byte
-	copy(hdr[:4], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], cp.WALGen)
-	buf = append(buf, hdr[:]...)
-	var frame [frameOverhead]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, frame[:]...)
-	buf = append(buf, payload...)
+	hdr := NewHeader(snapMagic, FormatVersion, cp.WALGen)
+	buf := AppendFrame(hdr[:], encodeCheckpoint(cp))
 
 	tmp := filepath.Join(dir, SnapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -111,44 +103,53 @@ func WriteCheckpoint(dir string, cp *Checkpoint) error {
 func ReadCheckpoint(dir string) (cp *Checkpoint, ok bool, err error) {
 	os.Remove(filepath.Join(dir, SnapshotName+".tmp"))
 	path := filepath.Join(dir, SnapshotName)
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("wal: open checkpoint: %w", err)
+		return nil, false, fmt.Errorf("wal: read checkpoint: %w", err)
 	}
-	defer f.Close()
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, false, fmt.Errorf("%w: %s: short header: %v", ErrCorrupt, path, err)
-	}
-	if err := checkHeader(hdr, snapMagic); err != nil {
-		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-	}
-	gen := binary.LittleEndian.Uint64(hdr[8:16])
-	var frame [frameOverhead]byte
-	if _, err := io.ReadFull(f, frame[:]); err != nil {
-		return nil, false, fmt.Errorf("%w: %s: short frame at offset %d: %v", ErrCorrupt, path, headerSize, err)
-	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	wantCRC := binary.LittleEndian.Uint32(frame[4:8])
-	if length > maxRecordSize {
-		return nil, false, fmt.Errorf("%w: %s: impossible checkpoint length %d", ErrCorrupt, path, length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, false, fmt.Errorf("%w: %s: torn checkpoint payload at offset %d: %v", ErrCorrupt, path, headerSize+frameOverhead, err)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return nil, false, fmt.Errorf("%w: %s: CRC mismatch at offset %d: got %#08x, want %#08x",
-			ErrCorrupt, path, headerSize, got, wantCRC)
-	}
-	cp = &Checkpoint{WALGen: gen}
-	if err := decodeCheckpoint(payload, cp); err != nil {
+	if cp, err = decodeCheckpointFile(b); err != nil {
 		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
 	return cp, true, nil
+}
+
+// decodeCheckpointFile decodes a whole checkpoint file: header, frame,
+// and the CRC-validated payload in the layout of the header's version.
+// Every error it returns is an integrity failure.
+func decodeCheckpointFile(b []byte) (*Checkpoint, error) {
+	if len(b) < headerSize {
+		return nil, fmt.Errorf("short header (%d bytes)", len(b))
+	}
+	hdr := [headerSize]byte(b[:headerSize])
+	if err := checkHeader(hdr, snapMagic); err != nil {
+		return nil, err
+	}
+	version := binary.LittleEndian.Uint16(hdr[4:6])
+	b = b[headerSize:]
+	if len(b) < frameOverhead {
+		return nil, fmt.Errorf("short frame at offset %d (%d bytes)", headerSize, len(b))
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	wantCRC := binary.LittleEndian.Uint32(b[4:8])
+	payload := b[frameOverhead:]
+	if length > maxRecordSize {
+		return nil, fmt.Errorf("impossible checkpoint length %d", length)
+	}
+	if uint64(len(payload)) < uint64(length) {
+		return nil, fmt.Errorf("torn checkpoint payload at offset %d (%d of %d bytes)", headerSize+frameOverhead, len(payload), length)
+	}
+	payload = payload[:length]
+	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
+		return nil, fmt.Errorf("CRC mismatch at offset %d: got %#08x, want %#08x", headerSize, got, wantCRC)
+	}
+	cp := &Checkpoint{WALGen: binary.LittleEndian.Uint64(hdr[8:16])}
+	if err := decodeCheckpoint(payload, version, cp); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }
 
 // encodeCheckpoint renders the collection list (everything after the
@@ -160,6 +161,7 @@ func encodeCheckpoint(cp *Checkpoint) []byte {
 		cs := &cp.Collections[i]
 		p = appendBytes(p, []byte(cs.Key))
 		p = appendBytes(p, cs.Spec)
+		p = append(p, cs.Fold)
 		p = binary.AppendUvarint(p, uint64(cs.Ingested))
 		p = binary.AppendUvarint(p, uint64(cs.Batches))
 		p = binary.AppendUvarint(p, uint64(cs.Flushes))
@@ -174,8 +176,9 @@ func encodeCheckpoint(cp *Checkpoint) []byte {
 	return p
 }
 
-// decodeCheckpoint parses a CRC-validated checkpoint payload.
-func decodeCheckpoint(p []byte, cp *Checkpoint) error {
+// decodeCheckpoint parses a CRC-validated checkpoint payload written
+// under format version v.
+func decodeCheckpoint(p []byte, v uint16, cp *Checkpoint) error {
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
 		return fmt.Errorf("bad collection count")
@@ -195,6 +198,16 @@ func decodeCheckpoint(p []byte, cp *Checkpoint) error {
 		cs.Key = string(key)
 		if cs.Spec, p, err = decodeBytes(p, "spec"); err != nil {
 			return fmt.Errorf("collection %q: %v", cs.Key, err)
+		}
+		cs.Fold = FoldGroup
+		if v >= 4 {
+			if len(p) == 0 {
+				return fmt.Errorf("collection %q: missing fold", cs.Key)
+			}
+			if cs.Fold = p[0]; cs.Fold != FoldGroup && cs.Fold != FoldRepFirst {
+				return fmt.Errorf("collection %q: unknown fold %d", cs.Key, cs.Fold)
+			}
+			p = p[1:]
 		}
 		for _, dst := range []*int64{&cs.Ingested, &cs.Batches, &cs.Flushes, &cs.Comparisons, &cs.Rounds, &cs.MaxRoundSize} {
 			v, n := binary.Uvarint(p)

@@ -88,6 +88,30 @@ const (
 	RecResilience byte = 7
 )
 
+// Fold policies of the incremental engine. A v4 checkpoint stores one
+// per collection; a create record means the fold of its segment's
+// version (FoldOf). The byte is meaningless to batch regimens, which
+// store it all the same.
+const (
+	// FoldGroup is the fold of every collection created under format
+	// versions 2–3: pending singletons and the answer merge as one CR
+	// group round.
+	FoldGroup byte = 0
+	// FoldRepFirst is the fold of collections created under version 4:
+	// pending elements are first matched against class representatives,
+	// and only the unmatched merge as a group.
+	FoldRepFirst byte = 1
+)
+
+// FoldOf reports the fold of a collection whose create record was read
+// from a file of format version v.
+func FoldOf(v uint16) byte {
+	if v < 4 {
+		return FoldGroup
+	}
+	return FoldRepFirst
+}
+
 // Format constants shared by segment and checkpoint files. See
 // docs/PERSISTENCE.md for the byte-level layout.
 const (
@@ -98,15 +122,17 @@ const (
 	// FormatVersion is the current on-disk format version, stamped into
 	// every header this build writes: version 2 added the
 	// RecDelete/RecInvalidate record types, version 3 added
-	// RecResilience (see docs/PERSISTENCE.md, "Versioning").
-	FormatVersion = 3
+	// RecResilience, version 4 added the per-collection fold byte to
+	// checkpoints and made a create record mean FoldRepFirst (see
+	// docs/PERSISTENCE.md, "Versioning").
+	FormatVersion = 4
 	// MinFormatVersion is the oldest version this build still reads.
-	// v3 is a strict superset of v2 — one new record type, no existing
-	// record or checkpoint layout changed — so v2 segments and
-	// checkpoints replay as-is and an upgraded node recovers its old
-	// data. Versions below the floor, or above FormatVersion, are
-	// rejected loudly: a reader must never skip records it cannot
-	// interpret.
+	// v2 and v3 files replay as-is: v3 only added a record type, and v4
+	// reads a v2–v3 create record or checkpoint entry as FoldGroup — the
+	// fold those files were written under — so an upgraded node recovers
+	// its old data bit-identically. Versions below the floor, or above
+	// FormatVersion, are rejected loudly: a reader must never skip
+	// records it cannot interpret.
 	MinFormatVersion = 2
 	// headerSize is the fixed size of both file headers:
 	// magic[4] version[u16] reserved[u16] generation[u64].

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -387,10 +388,10 @@ func TestOpenAppendRejectsWrongGen(t *testing.T) {
 	}
 }
 
-// TestFormatVersionWindow: files stamped inside [MinFormatVersion,
-// FormatVersion] are readable (v3 only added a record type over v2, so
-// an upgraded node must still recover its v2 data); anything outside
-// the window is rejected as corruption.
+// TestFormatVersionWindow: files inside [MinFormatVersion,
+// FormatVersion] are readable (an upgraded node must still recover its
+// v2 and v3 data, and a pre-v4 checkpoint entry means FoldGroup);
+// anything outside the window is rejected as corruption.
 func TestFormatVersionWindow(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Create(dir, 1, Options{Policy: SyncNever})
@@ -436,22 +437,109 @@ func TestFormatVersionWindow(t *testing.T) {
 	}
 	stamp(segPath, FormatVersion) // restore for the checkpoint half
 
-	// Checkpoints share the header check and the same window.
+	// Checkpoints share the header check and the same window. Before v4
+	// a collection entry had no fold byte, so old checkpoints are written
+	// in their own layout rather than stamped.
 	cp := &Checkpoint{WALGen: 2, Collections: []CollectionState{{Key: "k", Spec: []byte(`{}`)}}}
+	snapPath := filepath.Join(dir, SnapshotName)
+	for v := uint16(MinFormatVersion); v < 4; v++ {
+		if err := os.WriteFile(snapPath, checkpointFile(cp, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := ReadCheckpoint(dir)
+		if err != nil || !ok {
+			t.Fatalf("v%d checkpoint read: ok=%v err=%v", v, ok, err)
+		}
+		if got.WALGen != 2 || len(got.Collections) != 1 || got.Collections[0].Key != "k" || got.Collections[0].Fold != FoldGroup {
+			t.Fatalf("v%d checkpoint decoded wrong: %+v", v, got)
+		}
+	}
+	cp.Collections[0].Fold = FoldRepFirst
 	if err := WriteCheckpoint(dir, cp); err != nil {
 		t.Fatal(err)
 	}
-	snapPath := filepath.Join(dir, SnapshotName)
-	stamp(snapPath, MinFormatVersion)
-	got, ok, err := ReadCheckpoint(dir)
-	if err != nil || !ok {
-		t.Fatalf("v%d checkpoint read: ok=%v err=%v", MinFormatVersion, ok, err)
+	if got, _, err := ReadCheckpoint(dir); err != nil || got.Collections[0].Fold != FoldRepFirst {
+		t.Fatalf("v%d checkpoint: fold not kept (%+v, %v)", FormatVersion, got, err)
 	}
-	if got.WALGen != 2 || len(got.Collections) != 1 || got.Collections[0].Key != "k" {
-		t.Fatalf("v%d checkpoint decoded wrong: %+v", MinFormatVersion, got)
+	// A v4 payload stamped as v3 has a byte the v3 layout does not.
+	stamp(snapPath, 3)
+	if _, _, err := ReadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v4 payload under a v3 header: got %v, want ErrCorrupt", err)
 	}
 	stamp(snapPath, FormatVersion+1)
 	if _, _, err := ReadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("v%d checkpoint: got %v, want ErrCorrupt", FormatVersion+1, err)
+	}
+}
+
+// checkpointFile renders cp as a whole checkpoint file of format version
+// v. From v4 on that is WriteCheckpoint's encoding; before v4 a
+// collection entry had no fold byte.
+func checkpointFile(cp *Checkpoint, v uint16) []byte {
+	var payload []byte
+	if v >= 4 {
+		payload = encodeCheckpoint(cp)
+	} else {
+		payload = binary.AppendUvarint(payload, uint64(len(cp.Collections)))
+		for _, cs := range cp.Collections {
+			payload = appendBytes(payload, []byte(cs.Key))
+			payload = appendBytes(payload, cs.Spec)
+			for _, c := range []int64{cs.Ingested, cs.Batches, cs.Flushes, cs.Comparisons, cs.Rounds, cs.MaxRoundSize} {
+				payload = binary.AppendUvarint(payload, uint64(c))
+			}
+			for _, ints := range [][]int{cs.Members, cs.Pending, cs.Elems, cs.Offs} {
+				payload = appendInts(payload, ints)
+			}
+		}
+	}
+	hdr := NewHeader(snapMagic, v, cp.WALGen)
+	return AppendFrame(hdr[:], payload)
+}
+
+// TestReplayReportsSegmentVersion: each record carries its segment's
+// header version, and the summary the newest segment's, because a create
+// record means the fold of the version it was written under.
+func TestReplayReportsSegmentVersion(t *testing.T) {
+	dir := t.TempDir()
+	for gen := uint64(1); gen <= 2; gen++ {
+		l, err := Create(dir, gen, Options{Policy: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendCreate("k", []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, SegmentName(1))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[4], b[5] = 3, 0
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var versions []uint16
+	sum, err := Replay(dir, 1, func(r Record) error {
+		versions = append(versions, r.Version)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(versions, []uint16{3, FormatVersion}) || sum.LastVersion != FormatVersion {
+		t.Fatalf("record versions %v, last %d; want [3 %d], %d", versions, sum.LastVersion, FormatVersion, FormatVersion)
+	}
+	if FoldOf(versions[0]) != FoldGroup || FoldOf(versions[1]) != FoldRepFirst {
+		t.Fatalf("FoldOf(3) = %d, FoldOf(%d) = %d", FoldOf(versions[0]), FormatVersion, FoldOf(versions[1]))
+	}
+	if err := os.Remove(filepath.Join(dir, SegmentName(2))); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := Replay(dir, 1, func(Record) error { return nil }); err != nil || sum.LastVersion != 3 {
+		t.Fatalf("v3 tail: last version %d, err %v; want 3", sum.LastVersion, err)
 	}
 }
